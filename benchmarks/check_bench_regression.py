@@ -51,18 +51,13 @@ def _environment(artifact: dict) -> tuple:
     speed; the CPU count separates machine classes that share both
     (the 1-CPU dev container vs a multi-core CI runner).  Within one
     class single-thread speed still varies, which the generous
-    regression margin absorbs.  The page-metadata core (PR 8) is part
-    of the environment too: object-core walls gated against a
-    columnar baseline would measure the core switch, not the commit.
-    A pre-PR 8 artifact carries no ``core`` field and compares as
-    ``None`` — matching only other pre-PR 8 artifacts.
+    regression margin absorbs.
     """
     python = str(artifact.get("python", ""))
     return (
         artifact.get("machine"),
         ".".join(python.split(".")[:2]),  # major.minor decides interpreter speed
         artifact.get("cpus"),
-        artifact.get("core"),
     )
 
 

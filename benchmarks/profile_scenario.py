@@ -33,7 +33,6 @@ import time
 from repro.compression.chunking import SizeCache
 from repro.experiments.common import scenario_build, workload_trace
 from repro.faults import FaultPlan, install_fault_plan
-from repro.mem.columnar import resolve_core
 from repro.metrics import recovery_summary, zswap_summary
 from repro.sim.scenario import run_heavy_scenario, run_light_scenario
 from repro.sim.system import SCHEME_NAMES
@@ -117,18 +116,16 @@ def profile(
         f"{probed.residency_probes} residency probes, "
         f"eviction_epoch {probed.eviction_epoch}"
     )
-    # Which page-metadata core ran, and — under the columnar core — the
-    # kernel/journal counters aggregated over every app organizer, so a
-    # profile shows how much of the replay went through the vectorized
-    # paths (PR 8).
-    print(f"# core: {resolve_core()}")
+    # The organizers' kernel/journal counters aggregated over every
+    # app, so a profile shows how much of the replay went through the
+    # vectorized paths (PR 8).
     stats: dict[str, int] = {}
     for organizer in probed._organizers.values():
-        for key, value in getattr(organizer, "columnar_stats", dict)().items():
+        for key, value in organizer.columnar_stats().items():
             stats[key] = stats.get(key, 0) + value
     if stats:
         print(
-            f"# columnar: {stats['handles']} handles, "
+            f"# organizers: {stats['handles']} handles, "
             f"{stats['kernel_batches']} kernel batches "
             f"({stats['kernel_pages']} pages), "
             f"{stats['journal_scans']} journal scans "

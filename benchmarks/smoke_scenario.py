@@ -30,7 +30,6 @@ import time
 
 from repro.compression.chunking import SizeCache
 from repro.experiments.common import scenario_build, workload_trace
-from repro.mem.columnar import resolve_core
 from repro.sim.scenario import run_light_scenario
 
 
@@ -73,10 +72,6 @@ def run(duration_s: float, repeats: int, warm_repeats: int) -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        # Comparability: the regression gate only compares walls
-        # measured under the same page-metadata core (see
-        # check_bench_regression._environment).
-        "core": resolve_core(),
         # Correctness echo: these must stay bit-stable across commits.
         "simulated_wall_ns": result.wall_ns,
         "relaunches": len(result.relaunches),

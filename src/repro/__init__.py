@@ -60,7 +60,14 @@ from .errors import (
     ZpoolFullError,
 )
 from .flash import FlashDevice, FlashSwapArea
-from .mem import Hotness, LruList, MainMemory, Page, PageKind, PageLocation
+from .mem import (
+    Hotness,
+    IndexLruList,
+    MainMemory,
+    Page,
+    PageKind,
+    PageLocation,
+)
 from .metrics import CpuAccount, Counters, LatencyBreakdown, RelaunchResult
 from .sim import (
     MobileSystem,
@@ -102,9 +109,9 @@ __all__ = [
     "FlashSwapArea",
     "FlashSwapScheme",
     "Hotness",
+    "IndexLruList",
     "LatencyBreakdown",
     "LatencyModel",
-    "LruList",
     "Lz4Compressor",
     "LzoCompressor",
     "MainMemory",

@@ -92,7 +92,7 @@ class InvariantAuditor:
         self._audit_free_dram(scheme)
         self._audit_nonresident_counts(scheme)
         self._audit_lru_membership(scheme)
-        self._audit_columnar(scheme)
+        self._audit_handle_tables(scheme)
         self._audit_zpool_classes(scheme)
         self._audit_swap_slots(scheme)
         self._audit_zswap_writeback(scheme)
@@ -187,20 +187,16 @@ class InvariantAuditor:
                 "non-resident counter entry"
             )
 
-    def _audit_columnar(self, scheme) -> None:
-        """Columnar organizers' struct-of-arrays state is self-consistent.
+    def _audit_handle_tables(self, scheme) -> None:
+        """Organizers' struct-of-arrays state is self-consistent.
 
-        Under the columnar core (``repro.mem.columnar``) list membership
-        and recency live in flat columns; this delegates to each
-        organizer's ``audit_columnar_state`` cross-check (handle-table
-        bijectivity, per-list column census vs tracked counts, order/pos
-        linkage).  Object-core organizers have no columnar state and are
-        skipped — :meth:`_audit_lru_membership` already covered them.
+        List membership and recency live in the organizers' flat handle
+        table columns; this runs each organizer's
+        ``audit_columnar_state`` cross-check (handle-table bijectivity,
+        per-list column census vs tracked counts, order/pos linkage).
         """
         for organizer in scheme._organizers.values():
-            check = getattr(organizer, "audit_columnar_state", None)
-            if check is not None:
-                check()
+            organizer.audit_columnar_state()
 
     def _audit_lru_membership(self, scheme) -> None:
         """Organizer LRU lists and DRAM residency agree exactly.

@@ -12,7 +12,7 @@ The encoder is a greedy single-entry hash-chain matcher with LZ4-style
 skip acceleration, which is what the kernel's LZ4 "fast" compressor
 (used by zram) does as well.
 
-When ``numpy`` is available the encoder precomputes every position's
+From ``_VECTOR_MIN_LEN`` bytes up the encoder precomputes every position's
 32-bit word and hash slot in one vectorized pass, so the scan loop does
 two list reads per probe instead of slicing, ``int.from_bytes`` and a
 Python-level hash per position; candidate verification becomes one int
@@ -24,13 +24,10 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as _np
+
 from ..errors import CompressionError, CorruptDataError
 from .base import Compressor
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 #: Inputs shorter than this gain nothing from the vectorized precompute.
 _VECTOR_MIN_LEN = 256
@@ -77,12 +74,12 @@ class Lz4Compressor(Compressor):
             return b"\x00"
         if n < _MFLIMIT + 1:
             return _emit_final_literals(data, 0)
-        if _np is not None and n >= _VECTOR_MIN_LEN:
+        if n >= _VECTOR_MIN_LEN:
             return self._compress_vector(data)
         return self._compress_scan(data)
 
     def _compress_scan(self, data: bytes) -> bytes:
-        """Direct scan (dependency-free reference path)."""
+        """Direct scan (short inputs, and the vector path's reference)."""
         n = len(data)
         out = bytearray()
         table: dict[int, int] = {}
@@ -213,7 +210,7 @@ class Lz4Compressor(Compressor):
             return 1  # the lone zero token
         if n < _MFLIMIT + 1:
             return _final_literals_size(n)
-        if _np is not None and n >= _VECTOR_MIN_LEN:
+        if n >= _VECTOR_MIN_LEN:
             return self._size_vector(data)
         return self._size_scan(data)
 

@@ -23,7 +23,8 @@ each visited gram to its most recent visited position (positions inside
 emitted matches are skipped and never enter the table).  Two encoder
 paths produce that exact parse:
 
-- ``_compress_scan``: the direct scan, kept dependency-free;
+- ``_compress_scan``: the direct scan, used below ``_INDEXED_MIN_LEN``
+  (where the indexed path's fixed numpy cost wins nothing);
 - ``_compress_indexed``: the fast path.  All previous-occurrence
   structure is precomputed at C speed (one ``numpy`` sort of
   position-tagged 3-gram keys yields, per position, whether the gram
@@ -32,10 +33,7 @@ paths produce that exact parse:
   table indexed by first-occurrence position replaces the dict; entries
   under an emitted match are invalidated with one slice assignment,
   which reproduces exactly the "skipped positions never enter the
-  table" rule.  The previous-occurrence fill itself has two
-  byte-identical variants — direct scatter/gather vs a cache-conscious
-  bucketed walk — selected by ``REPRO_LZO_INDEX`` (see
-  ``_INDEX_MODE``).
+  table" rule.
 
 Both paths emit byte-identical output for every input (the differential
 tests in ``tests/test_codec_equivalence.py`` are the contract), so
@@ -44,16 +42,12 @@ callers never observe which one ran.
 
 from __future__ import annotations
 
-import os
 from array import array
+
+import numpy as _np
 
 from ..errors import CompressionError, CorruptDataError
 from .base import Compressor
-
-try:  # The fast encoder path needs numpy; the scan path does not.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 _MIN_MATCH = 3
 _MAX_MATCH = 130
@@ -78,7 +72,7 @@ class LzoCompressor(Compressor):
         self._max_distance = max_distance
 
     def compress(self, data: bytes) -> bytes:
-        if _np is not None and len(data) >= _INDEXED_MIN_LEN:
+        if len(data) >= _INDEXED_MIN_LEN:
             return _compress_indexed(data, self._max_distance)
         return _compress_scan(data, self._max_distance)
 
@@ -90,7 +84,7 @@ class LzoCompressor(Compressor):
         the size cache's hot path skips every output copy.  Equality with
         ``len(compress(data))`` is pinned by the differential tests.
         """
-        if _np is not None and len(data) >= _INDEXED_MIN_LEN:
+        if len(data) >= _INDEXED_MIN_LEN:
             return _size_indexed(data, self._max_distance)
         return _size_scan(data, self._max_distance)
 
@@ -181,7 +175,6 @@ class _IndexedWorkspace:
     """
 
     def __init__(self, cap: int) -> None:
-        self.cap = cap
         self.g32 = _np.empty(cap, dtype=_np.uint32)
         self.s32 = _np.empty(cap, dtype=_np.uint32)
         self.root = _np.empty(cap, dtype=_np.int32)
@@ -198,25 +191,6 @@ class _IndexedWorkspace:
         self.mask_mv = memoryview(self.mask)
         self.roots_mv = memoryview(self.roots).cast("B")
         self.table_mv = memoryview(self.table).cast("B")
-        #: Scratch for the bucketed index fill (region ids, the sorted
-        #: permutation, and its gram/table gathers) — allocated on
-        #: first use so the default direct mode never pays the ~14
-        #: bytes/gram for buffers it will not touch.
-        self.region8 = None
-        self.region8_rev = None
-        self.perm32 = None
-        self.gram_perm = None
-        self.table_perm = None
-
-    def ensure_bucketed_scratch(self) -> None:
-        """Allocate the bucketed-fill buffers (idempotent)."""
-        if self.region8 is None:
-            cap = self.cap
-            self.region8 = _np.empty(cap, dtype=_np.uint8)
-            self.region8_rev = _np.empty(cap, dtype=_np.uint8)
-            self.perm32 = _np.empty(cap, dtype=_np.int32)
-            self.gram_perm = _np.empty(cap, dtype=_np.uint32)
-            self.table_perm = _np.empty(cap, dtype=_np.int32)
 
 
 _WORKSPACE: _IndexedWorkspace | None = None
@@ -234,74 +208,6 @@ def _gram_table():
     if _GRAM_TABLE is None:
         _GRAM_TABLE = _np.empty(1 << 24, dtype=_np.int32)
     return _GRAM_TABLE
-
-
-#: How the previous-occurrence table is filled (``REPRO_LZO_INDEX``):
-#:
-#: - ``direct`` — one scatter and one gather at the raw gram positions.
-#:   Random access over the 64 MiB table, so each touched line is a
-#:   potential last-level-cache/TLB miss, but zero preparation cost.
-#: - ``bucketed`` — the cache-conscious variant: one radix pass
-#:   (NumPy's stable argsort on uint8 keys) orders positions by their
-#:   gram's top byte, so the scatter and gather walk the table region
-#:   by region in streaming order; each 2^16-entry region (256 KiB of
-#:   int32) stays L2-resident while it is used.
-#:
-#: Both fills leave byte-identical parses (the differential tests pin
-#: it); the default is the measured winner — picked per PERFORMANCE.md
-#: PR 5, where the 1-CPU CI container's 105 MiB L3 holds the whole
-#: table, making the direct fill's "random" access LLC-resident and
-#: the radix pass pure overhead (~240 us vs ~390 us per 16 KiB chunk).
-#: The env var exists so small-LLC hardware — where the table cannot
-#: be cache-resident and the streaming walk is the honest win — can
-#: flip the choice without a code change.
-_INDEX_MODES = ("direct", "bucketed")
-
-
-def _resolve_index_mode(value: str | None) -> str:
-    """Sanitize a ``REPRO_LZO_INDEX`` value (unknown -> ``direct``)."""
-    mode = (value or "").strip().lower() or "direct"
-    return mode if mode in _INDEX_MODES else "direct"
-
-
-_INDEX_MODE = _resolve_index_mode(os.environ.get("REPRO_LZO_INDEX"))
-
-#: Below this gram count the radix pass costs more than the direct
-#: fill's misses on any hardware; the bucketed mode falls back per call.
-_BUCKETED_MIN_GRAMS = 4096
-
-
-def _fill_roots_bucketed(ws, gram, root_pos, m) -> None:
-    """Fill ``root_pos`` like the direct scatter/gather, region by region.
-
-    Correctness mirrors the direct fill exactly: the scatter must leave
-    each gram's slot holding its *smallest* position (first
-    occurrence).  One stable argsort of the *reversed* region-id stream
-    yields positions grouped by region in ascending order with
-    positions descending inside each region — equal grams share a
-    region, so the last write per gram is still the lowest position,
-    and the same permutation serves the gather (its output lands in the
-    cache-resident m-sized ``root_pos``, so gather order is free).  The
-    region id is the gram's top byte.
-    """
-    table24 = _gram_table()
-    ws.ensure_bucketed_scratch()
-    scratch = ws.s32[:m]
-    region = ws.region8[:m]
-    region_rev = ws.region8_rev[:m]
-    _np.right_shift(gram, 16, out=scratch)
-    _np.copyto(region, scratch, casting="unsafe")
-    _np.copyto(region_rev, region[::-1])
-    backward = region_rev.argsort(kind="stable")  # radix on uint8 keys
-    _np.subtract(m - 1, backward, out=backward)
-    perm = ws.perm32[:m]
-    _np.copyto(perm, backward, casting="unsafe")
-    gram_perm = ws.gram_perm[:m]
-    _np.take(gram, perm, out=gram_perm, mode="clip")
-    table24[gram_perm] = perm
-    table_perm = ws.table_perm[:m]
-    _np.take(table24, gram_perm, out=table_perm, mode="clip")
-    root_pos[perm] = table_perm
 
 
 def _build_index(data: bytes, n: int):
@@ -347,13 +253,10 @@ def _build_index(data: bytes, n: int):
     gram |= scratch
     idxs = ws.idx32[:m]
     root_pos = ws.root[:m]
-    if _INDEX_MODE == "bucketed" and m >= _BUCKETED_MIN_GRAMS:
-        _fill_roots_bucketed(ws, gram, root_pos, m)
-    else:
-        table24 = _gram_table()
-        table24[gram[::-1]] = idxs[::-1]
-        # Every gram value is < 2^24, so bounds checking is pure overhead.
-        _np.take(table24, gram, out=root_pos, mode="clip")
+    table24 = _gram_table()
+    table24[gram[::-1]] = idxs[::-1]
+    # Every gram value is < 2^24, so bounds checking is pure overhead.
+    _np.take(table24, gram, out=root_pos, mode="clip")
     mask_arr = ws.bool_[:m]
     _np.not_equal(root_pos, idxs, out=mask_arr)
     ws.mask_mv[:m] = mask_arr.view(_np.uint8)

@@ -46,22 +46,11 @@ def gather_cold_group(
     pages), which keeps a chunk's pages adjacent — the layout PreDecomp's
     next-sector prediction and the paper's Insight 3 rely on.  Detaching
     goes through the scheme so the eviction-epoch layer sees every page
-    that leaves DRAM.
+    that leaves DRAM; one walk pops the whole group, and the batched
+    detach leaves the epoch/stamp state exactly where a per-page walk
+    would (see ``SwapScheme._detach_pages``).
     """
-    cold = organizer.cold
-    pop_run = getattr(cold, "pop_lru_run", None)
-    if pop_run is not None:
-        # Columnar core: one walk pops the whole group; the batched
-        # detach leaves the epoch/stamp state exactly where the
-        # per-page walk would (see ``_detach_pages``).
-        rest = pop_run(group_pages - 1)
-        organizer.list_operations += len(rest)
-        scheme._detach_pages(rest)
-        return [first, *rest]
-    group = [first]
-    while len(group) < group_pages and len(organizer.cold) > 0:
-        page = organizer.cold.pop_lru()
-        organizer.list_operations += 1
-        scheme._detach_page(page)
-        group.append(page)
-    return group
+    rest = organizer.cold.pop_lru_run(group_pages - 1)
+    organizer.list_operations += len(rest)
+    scheme._detach_pages(rest)
+    return [first, *rest]

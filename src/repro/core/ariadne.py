@@ -20,8 +20,11 @@ Assembles the three techniques on top of the shared scheme machinery:
 from __future__ import annotations
 
 from ..errors import ChunkLostError, FlashFullError
-from ..mem.columnar import make_tri_list_organizer, make_two_list_organizer
-from ..mem.organizer import DataOrganizer, HotWarmColdOrganizer
+from ..mem.organizer import (
+    ActiveInactiveOrganizer,
+    DataOrganizer,
+    HotWarmColdOrganizer,
+)
 from ..mem.page import Hotness, Page, PageLocation
 from ..metrics import APP, KSWAPD, PREDECOMP, AccessBatchSummary, LatencyBreakdown
 from ..units import PAGE_SIZE
@@ -55,23 +58,24 @@ class AriadneScheme(SwapScheme):
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
         if not self.config.hotness_org_enabled:
             # Ablation: Ariadne's chunk/prefetch machinery on stock LRU.
-            return make_two_list_organizer(uid)
-        return make_tri_list_organizer(uid, hot_seed_limit)
+            return ActiveInactiveOrganizer(uid)
+        return HotWarmColdOrganizer(uid, hot_seed_limit)
+
+    # The HotnessOrg paths below test the flag _make_organizer branches
+    # on: only with it set is the organizer the tri-list one.
 
     def end_launch(self, uid: int) -> None:
-        organizer = self.organizer(uid)
-        if isinstance(organizer, HotWarmColdOrganizer):
-            organizer.end_launch_window()
+        if self.config.hotness_org_enabled:
+            self.organizer(uid).end_launch_window()
 
     def begin_relaunch(self, uid: int) -> None:
         super().begin_relaunch(uid)
-        organizer = self.organizer(uid)
-        if isinstance(organizer, HotWarmColdOrganizer):
-            organizer.begin_relaunch()
+        if self.config.hotness_org_enabled:
+            self.organizer(uid).begin_relaunch()
 
     def end_relaunch(self, uid: int) -> None:
-        organizer = self.organizer(uid)
-        if isinstance(organizer, HotWarmColdOrganizer):
+        if self.config.hotness_org_enabled:
+            organizer = self.organizer(uid)
             organizer.end_relaunch()
             charge = organizer.list_operations * self.ctx.platform.list_op_ns
             organizer.list_operations = 0
@@ -84,10 +88,9 @@ class AriadneScheme(SwapScheme):
         list (the AL scenario compresses the hot list with SmallSize
         chunks; they are still *identified* as hot).
         """
-        organizer = self.organizer(uid)
         predicted: set[int] = set()
-        if isinstance(organizer, HotWarmColdOrganizer):
-            predicted.update(page.pfn for page in organizer.hot)
+        if self.config.hotness_org_enabled:
+            predicted.update(page.pfn for page in self.organizer(uid).hot)
         for chunk in self._chunks.values():
             if chunk.uid == uid and chunk.hotness_at_compress is Hotness.HOT:
                 predicted.update(page.pfn for page in chunk.pages)
@@ -104,18 +107,16 @@ class AriadneScheme(SwapScheme):
         """Global eviction order (Section 4.2): the cold data of *all*
         applications goes first, then warm, and only then hot — within a
         level, least-recently-switched apps first, foreground last."""
+        if not self.config.hotness_org_enabled:
+            # Ablation: stock behavior.
+            return super()._pop_victim()
         fg = self._foreground_uid
         candidates = [uid for uid in self._app_lru if uid != fg]
         if fg is not None:
             candidates.append(fg)
-        organizers = self._organizers
-        hwc = [
-            org
-            for uid in candidates
-            if isinstance(org := organizers.get(uid), HotWarmColdOrganizer)
-        ]
+        organizers = [self._organizers[uid] for uid in candidates]
         for level in (Hotness.COLD, Hotness.WARM, Hotness.HOT):
-            for organizer in hwc:
+            for organizer in organizers:
                 lru = organizer.level_list(level)
                 if not len(lru):
                     continue
@@ -124,12 +125,11 @@ class AriadneScheme(SwapScheme):
                 self._detach_page(page)
                 self._victim_levels[page.pfn] = level
                 return page
-        # Ablation fallback (hotness_org_enabled=False): stock behavior.
-        return super()._pop_victim()
+        return None
 
     def _pop_victim_from(self, organizer: DataOrganizer) -> Page:
         """Pop the next victim, remembering which hotness list it left."""
-        if isinstance(organizer, HotWarmColdOrganizer):
+        if self.config.hotness_org_enabled:
             if len(organizer.cold):
                 level = Hotness.COLD
             elif len(organizer.warm):
@@ -167,14 +167,14 @@ class AriadneScheme(SwapScheme):
         level = self._victim_levels.pop(page.pfn, Hotness.COLD)
         chunk_size = chunk_size_for(level, self.config)
         pages = [page]
-        organizer = self.organizer(page.uid)
         if (
             level is Hotness.COLD
             and chunk_size > PAGE_SIZE
-            and isinstance(organizer, HotWarmColdOrganizer)
+            and self.config.hotness_org_enabled
         ):
             pages = gather_cold_group(
-                organizer, self, page, self.config.cold_group_pages
+                self.organizer(page.uid), self, page,
+                self.config.cold_group_pages,
             )
         _, stall = self._compress_and_store(
             pages, chunk_size=chunk_size, hotness=level, thread=thread
@@ -289,9 +289,9 @@ class AriadneScheme(SwapScheme):
         flash") when earlier memory pressure pushed hot pages out.  Runs
         as background work: decompression CPU is charged, nothing stalls.
         """
-        organizer = self.organizer(uid)
-        if not isinstance(organizer, HotWarmColdOrganizer):
+        if not self.config.hotness_org_enabled:
             return
+        organizer = self.organizer(uid)
         platform = self.ctx.platform
         targets = [
             chunk for chunk in list(self._chunks.values())

@@ -9,10 +9,9 @@ fixed per-batch charge whenever the system gives kswapd a turn.
 
 from __future__ import annotations
 
-from ..mem.columnar import make_two_list_organizer
-from ..mem.organizer import DataOrganizer
+from ..mem.organizer import ActiveInactiveOrganizer, DataOrganizer
 from ..mem.page import Page
-from ..metrics import APP, KSWAPD, AccessBatchSummary
+from ..metrics import APP, KSWAPD, AccessBatchSummary, AccessRun
 from .context import SchemeContext
 from .scheme import AccessResult, SwapScheme
 from .stored import StoredChunk
@@ -41,7 +40,7 @@ class DramScheme(SwapScheme):
         self.pressure_budget_bytes = pressure_budget_bytes
 
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
-        return make_two_list_organizer(uid)
+        return ActiveInactiveOrganizer(uid)
 
     def free_dram_bytes(self) -> int:
         """The optimistic assumption: memory never runs out."""
@@ -77,10 +76,19 @@ class DramScheme(SwapScheme):
         case of the eviction-epoch fast path, where every app stays
         verified forever (the epoch never moves).  (A page that somehow
         is not resident still raises :class:`PageStateError`, from the
-        organizer instead of the access dispatcher.)"""
-        self._touch_resident_run(pages, thread)
+        organizer instead of the access dispatcher.)  Page lists other
+        than a memoized :class:`AccessRun` take the per-page default."""
+        if type(pages) is not AccessRun:
+            return super().access_batch(pages, thread)
+        n = len(pages)
+        if n:
+            # No hits, no charge: a zero-ns charge would still create a
+            # ledger key the per-page reference never creates.
+            ctx = self.ctx
+            self._organizers[pages.uid].on_access_run(pages, ctx.clock.now_ns)
+            ctx.cpu.charge(thread, "list_ops", ctx.platform.list_op_ns * n)
         summary = AccessBatchSummary()
-        summary.add_hits(len(pages))
+        summary.add_hits(n)
         self.epoch_skips += 1
         return summary
 

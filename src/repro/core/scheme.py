@@ -37,7 +37,6 @@ from ..errors import (
     PermanentFlashError,
     TransientFlashError,
 )
-from ..mem.columnar import ColumnarOrganizerMixin
 from ..mem.organizer import DataOrganizer
 from ..mem.page import Hotness, Page, PageLocation
 from ..metrics import (
@@ -392,11 +391,12 @@ class SwapScheme(ABC):
         """Touch a known sequence of pages; returns the aggregate summary.
 
         This default replays the batch one :meth:`access` at a time and
-        is correct by construction for any scheme.  Concrete schemes
-        override it with :meth:`_access_batch_runs` (or a tighter
-        specialization), which must leave *identical* simulator state
-        and aggregate numbers — ``tests/test_access_batch.py`` holds the
-        two paths against each other.
+        is correct by construction for any scheme and any page list.
+        Concrete schemes override it with :meth:`_access_batch_runs` (or
+        a tighter specialization), which must leave *identical*
+        simulator state and aggregate numbers —
+        ``tests/test_access_batch.py`` holds the two paths against each
+        other.
         """
         summary = AccessBatchSummary()
         add = summary.add_result
@@ -408,147 +408,68 @@ class SwapScheme(ABC):
     def _access_batch_runs(
         self, pages: list[Page], thread: str = APP
     ) -> AccessBatchSummary:
-        """Shared fast batch path: epoch-verified apps skip residency
-        probes entirely; otherwise coalesce resident runs, fault singly.
+        """Fast batch path for a memoized single-app :class:`AccessRun`:
+        epoch-verified runs and apps skip residency probes entirely;
+        otherwise coalesce resident runs, fault singly.  Any other page
+        list takes the per-page :meth:`access_batch` default.
 
-        The epoch layer comes first: an app verified fully resident at
-        the current :attr:`eviction_epoch` cannot fault — every one of
-        its pages is in DRAM, and epochs advance whenever any page
-        leaves DRAM — so its whole uid-segment (in practice the whole
-        batch: replays are single-app) is serviced as one resident run
-        with zero per-page membership probes.  Equivalence is by
+        The epoch layer comes first: a run whose previous replay left
+        every page resident, or an app verified fully resident, at an
+        epoch no older than the app's last eviction stamp cannot fault —
+        epochs advance whenever a page of the app leaves DRAM — so the
+        batch (or its remainder) is serviced as one resident run with
+        zero per-page membership probes.  Equivalence is by
         construction: the probes the fallback would have made were all
         guaranteed hits, and hits never change residency.  The moment
-        anything is evicted mid-batch (a fault's direct reclaim), the
-        epoch moves and the verification check fails for the rest of
-        the batch, forcing re-probe.
+        one of the app's pages is evicted mid-batch (a fault's direct
+        reclaim), its stamp moves and the verification check fails for
+        the rest of the batch, forcing re-probe.
 
-        Unverified segments take the exact probing path: a run of
-        currently-resident pages is serviced with one shared zero-stall
-        outcome (count bumps on the summary), one bulk organizer touch,
-        and one CPU charge — exactly the sums the per-page loop
-        produces, since hits never change residency, the clock is
-        frozen across a replay, and CPU/list accounting is additive.
-        Every non-resident page falls back to the exact per-page
+        Unverified stretches take the exact probing path.  Residency is
+        probed against the organizer's ``list_id`` column — equivalent
+        to the DRAM probe, since the lists cover exactly the app's
+        resident pages (the ``_audit_lru_membership`` invariant) — and
+        a run of resident pages is serviced with one shared zero-stall
+        outcome (count bumps on the summary), one handle-array touch,
+        and one CPU charge: exactly the sums the per-page loop produces,
+        since hits never change residency, the clock is frozen across a
+        replay, and CPU/list accounting is additive.  Every
+        non-resident page falls back to the exact per-page
         :meth:`access`, because a fault may change the residency of
         *later* batch pages (chunk siblings materialize, staging fills,
         reclaim can evict) — so residency is re-probed from the faulted
         page onward.
         """
+        if type(pages) is not AccessRun:
+            return SwapScheme.access_batch(self, pages, thread)
         summary = AccessBatchSummary()
         n = len(pages)
         if n == 0:
             return summary
         ctx = self.ctx
-        app_epochs = self._app_eviction_epoch
-        run_uid = pages.uid if type(pages) is AccessRun else None
-        if run_uid is not None:
-            app_stamp = app_epochs[run_uid]
-            if pages.verified_epoch >= app_stamp:
-                # Run-level fast path: the previous replay of this very
-                # run ended with every page resident, and no page of
-                # this app has left DRAM since — so every page is still
-                # resident and the whole batch is one hit run.
-                self._organizers[run_uid].on_access_run(
-                    pages, ctx.clock.now_ns
-                )
-                ctx.cpu.charge(
-                    thread, "list_ops", ctx.platform.list_op_ns * n
-                )
-                summary.add_hits(n)
-                self.epoch_skips += 1
-                return summary
-            organizer = self._organizers[run_uid]
-            if isinstance(organizer, ColumnarOrganizerMixin):
-                # Columnar core: probe residency against the organizer's
-                # list_id column (equivalent to the DRAM probe — see
-                # leading_resident) and touch resident runs through the
-                # handle kernels, skipping per-page work entirely.
-                return self._access_batch_runs_columnar(
-                    pages, thread, organizer, app_stamp, summary
-                )
-        resident = ctx.dram._resident
-        verified = self._resident_verified_epoch
-        organizers = self._organizers
-        i = 0
-        while i < n:
-            page = pages[i]
-            uid = page.uid
-            # ``.get`` with an always-stale default keeps unregistered
-            # apps on the exact path (where the reference error surfaces).
-            if verified.get(uid, -1) >= app_epochs.get(uid, 0):
-                # App-level fast path: the app was verified fully
-                # resident (non-resident count zero) and none of *its*
-                # pages left DRAM since, so this uid-segment (in
-                # practice the whole batch) cannot miss.
-                j = i + 1
-                while j < n and pages[j].uid == uid:
-                    j += 1
-                organizers[uid].on_access_run(
-                    pages[i:j] if i or j < n else pages, ctx.clock.now_ns
-                )
-                ctx.cpu.charge(
-                    thread, "list_ops", ctx.platform.list_op_ns * (j - i)
-                )
-                summary.add_hits(j - i)
-                self.epoch_skips += 1
-                i = j
-            elif page.pfn in resident:
-                j = i + 1
-                while j < n and pages[j].pfn in resident:
-                    j += 1
-                # Probes: one per page of the run, plus the failing
-                # probe that terminated it (re-probed by the dispatch
-                # above when the loop resumes there).
-                self.residency_probes += (j - i) + (1 if j < n else 0)
-                self._touch_resident_run(pages[i:j] if i or j < n else pages,
-                                         thread)
-                summary.add_hits(j - i)
-                i = j
-            else:
-                self.residency_probes += 1
-                summary.add_result(self.access(page, thread))
-                i += 1
-        if run_uid is not None and app_epochs[run_uid] == app_stamp:
-            # Every page of the run was (made) resident when touched,
-            # and no page of this app left DRAM at any point during the
-            # batch — so all of them are resident *now*: stamp the run
-            # verified for its next replay.  A mid-batch same-app
-            # eviction (a fault's direct reclaim reaching into this
-            # app) moved the app stamp and leaves the run unverified.
-            pages.verified_epoch = self.eviction_epoch
-        return summary
-
-    def _access_batch_runs_columnar(
-        self,
-        pages: AccessRun,
-        thread: str,
-        organizer,
-        app_stamp: int,
-        summary: AccessBatchSummary,
-    ) -> AccessBatchSummary:
-        """The probing loop of :meth:`_access_batch_runs`, columnar.
-
-        Identical dispatch structure and numbers — app-level verified
-        segments, resident-run coalescing with the same probe counts,
-        per-page fallback on the first non-resident page — but residency
-        is probed against the organizer's ``list_id`` column (equivalent
-        to the DRAM probe: the lists cover exactly the app's resident
-        pages, the ``_audit_lru_membership`` invariant) and resident
-        runs are touched as handle-array kernels, so a fully resident
-        replay does no per-page Python work at all.
-        """
-        ctx = self.ctx
-        uid = pages.uid
-        app_epochs = self._app_eviction_epoch
-        verified = self._resident_verified_epoch
-        handles = organizer.run_handles(pages)
         charge = ctx.cpu.charge
         list_op_ns = ctx.platform.list_op_ns
-        n = len(pages)
+        uid = pages.uid
+        app_epochs = self._app_eviction_epoch
+        app_stamp = app_epochs[uid]
+        organizer = self._organizers[uid]
+        if pages.verified_epoch >= app_stamp:
+            # Run-level fast path: the previous replay of this very run
+            # ended with every page resident, and no page of this app
+            # has left DRAM since — so the whole batch is one hit run.
+            organizer.on_access_run(pages, ctx.clock.now_ns)
+            charge(thread, "list_ops", list_op_ns * n)
+            summary.add_hits(n)
+            self.epoch_skips += 1
+            return summary
+        verified = self._resident_verified_epoch
+        handles = organizer.run_handles(pages)
         i = 0
         while i < n:
-            if verified.get(uid, -1) >= app_epochs.get(uid, 0):
+            if verified[uid] >= app_epochs[uid]:
+                # App-level fast path: the app was verified fully
+                # resident (non-resident count zero) and none of its
+                # pages left DRAM since, so the rest cannot miss.
                 organizer._on_access_handles(
                     handles[i:] if i else handles, ctx.clock.now_ns
                 )
@@ -558,6 +479,9 @@ class SwapScheme(ABC):
                 break
             k = organizer.leading_resident(handles, i)
             if k:
+                # Probes: one per page of the run, plus the failing
+                # probe that terminated it (re-probed by the dispatch
+                # above when the loop resumes there).
                 self.residency_probes += k + (1 if i + k < n else 0)
                 organizer._on_access_handles(
                     handles[i:i + k], ctx.clock.now_ns
@@ -570,40 +494,14 @@ class SwapScheme(ABC):
                 summary.add_result(self.access(pages[i], thread))
                 i += 1
         if app_epochs[uid] == app_stamp:
+            # Every page of the run was (made) resident when touched,
+            # and no page of this app left DRAM at any point during the
+            # batch — so all of them are resident *now*: stamp the run
+            # verified for its next replay.  A mid-batch same-app
+            # eviction (a fault's direct reclaim reaching into this
+            # app) moved the app stamp and leaves the run unverified.
             pages.verified_epoch = self.eviction_epoch
         return summary
-
-    def _touch_resident_run(self, run: list[Page], thread: str) -> None:
-        """Bulk bookkeeping for a run of resident hits (no stall, no fault).
-
-        Splits the run into per-app segments (in practice a replay is
-        single-app, so this is one segment), hands each to its
-        organizer's bulk touch, and charges the per-hit list-op CPU in
-        one call.  A memoized :class:`AccessRun` names its app, so the
-        segment scan is skipped outright (same call, same charge).
-        """
-        n = len(run)
-        if n == 0:
-            # No hits, no charge: a zero-ns charge would still create a
-            # ledger key the per-page reference never creates.
-            return
-        ctx = self.ctx
-        now_ns = ctx.clock.now_ns
-        if type(run) is AccessRun:
-            self._organizers[run.uid].on_access_run(run, now_ns)
-            ctx.cpu.charge(thread, "list_ops", ctx.platform.list_op_ns * n)
-            return
-        organizers = self._organizers
-        i = 0
-        while i < n:
-            uid = run[i].uid
-            j = i + 1
-            while j < n and run[j].uid == uid:
-                j += 1
-            organizers[uid].on_access_run(run[i:j] if i or j < n else run,
-                                          now_ns)
-            i = j
-        ctx.cpu.charge(thread, "list_ops", ctx.platform.list_op_ns * n)
 
     def _staging_hit(self, page: Page) -> AccessResult | None:
         """Hook for PreDecomp's staging buffer (Ariadne overrides)."""

@@ -9,8 +9,7 @@ the critical path (the long relaunch latencies of Figure 2).
 from __future__ import annotations
 
 from ..errors import FlashFullError
-from ..mem.columnar import make_two_list_organizer
-from ..mem.organizer import DataOrganizer
+from ..mem.organizer import ActiveInactiveOrganizer, DataOrganizer
 from ..mem.page import Hotness, Page, PageLocation
 from ..metrics import APP, AccessBatchSummary, LatencyBreakdown
 from ..units import PAGE_SIZE
@@ -29,7 +28,7 @@ class FlashSwapScheme(SwapScheme):
         super().__init__(ctx)
 
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
-        return make_two_list_organizer(uid)
+        return ActiveInactiveOrganizer(uid)
 
     def access_batch(
         self, pages: list[Page], thread: str = APP

@@ -12,8 +12,7 @@ Exactly the configuration the paper evaluates against (Section 5):
 
 from __future__ import annotations
 
-from ..mem.columnar import make_two_list_organizer
-from ..mem.organizer import DataOrganizer
+from ..mem.organizer import ActiveInactiveOrganizer, DataOrganizer
 from ..mem.page import Hotness, Page, PageLocation
 from ..metrics import APP, AccessBatchSummary
 from ..units import PAGE_SIZE
@@ -32,7 +31,7 @@ class ZramScheme(SwapScheme):
         super().__init__(ctx)
 
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
-        return make_two_list_organizer(uid)
+        return ActiveInactiveOrganizer(uid)
 
     def access_batch(
         self, pages: list[Page], thread: str = APP

@@ -35,8 +35,7 @@ flash for the demand path to retry with its own budget).
 from __future__ import annotations
 
 from ..errors import FlashFullError, PermanentFlashError, TransientFlashError
-from ..mem.columnar import make_two_list_organizer
-from ..mem.organizer import DataOrganizer
+from ..mem.organizer import ActiveInactiveOrganizer, DataOrganizer
 from ..mem.page import Hotness, Page, PageLocation
 from ..metrics import APP, KSWAPD, ZSWAPD, AccessBatchSummary, LatencyBreakdown
 from ..units import PAGE_SIZE
@@ -72,7 +71,7 @@ class ZswapScheme(SwapScheme):
         self._next_device = 0
 
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
-        return make_two_list_organizer(uid)
+        return ActiveInactiveOrganizer(uid)
 
     def access_batch(
         self, pages: list[Page], thread: str = APP

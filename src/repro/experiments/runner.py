@@ -273,12 +273,19 @@ def _worker_init(event_queue) -> None:
     bytecode — possibly while holding the shared task-queue lock — and
     a sibling then blocks on that lock forever, deadlocking the
     parent's ``pool.join()``.
+
+    Workers start with SIGTERM blocked (see :func:`run_experiments`), so
+    a ``terminate()`` that lands before this runs stays pending in the
+    kernel instead of hitting the inherited Python handler — whose
+    pending flag the fork discards.  Unblocking after ``SIG_DFL`` is in
+    place delivers it with the default action: the worker dies.
     """
     global _events
     _events = event_queue
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     except (ValueError, OSError):  # non-main thread / exotic platforms
         pass
 
@@ -661,11 +668,23 @@ def run_experiments(
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
             events = ctx.SimpleQueue()
-            pool = ctx.Pool(
-                processes=workers,
-                initializer=_worker_init,
-                initargs=(events,),
+            # Create the pool with SIGTERM blocked: its worker-handler
+            # thread inherits the mask, and so does every worker it
+            # forks — initial ones and the replacements of crashed
+            # ones — until _worker_init resets the handler and
+            # unblocks.  A terminate() racing a fresh replacement can
+            # then never be lost, so pool.join() cannot hang on it.
+            saved_mask = signal.pthread_sigmask(
+                signal.SIG_BLOCK, {signal.SIGTERM}
             )
+            try:
+                pool = ctx.Pool(
+                    processes=workers,
+                    initializer=_worker_init,
+                    initargs=(events,),
+                )
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, saved_mask)
             supervisor = _Supervisor(
                 pool, events, tasks, task_timeout_s, task_retries,
                 serial_fallback,

@@ -115,7 +115,7 @@ class DeviceProfile:
         """The app mix, in catalog order — the device's trace identity.
 
         Devices sharing a signature replay the *same* workload trace,
-        so per-worker trace memos (and the columnar core's per-trace
+        so per-worker trace memos (and the organizers' per-trace
         handle cache) amortize construction across the population.
         """
         return self.app_names

@@ -12,8 +12,8 @@ Amortization across the population:
 - *traces* are keyed by the device's app-mix signature, not its index:
   devices sharing a mix replay the same :class:`WorkloadTrace` object,
   memoized per worker process (:func:`fleet_trace`).  Reusing the trace
-  object also reuses the columnar core's per-trace handle cache (PR 8)
-  — pfn->handle arrays memoized on the ``AppTrace`` — and the shared
+  object also reuses the organizers' per-trace handle cache — pfn ->
+  handle arrays memoized on the ``AppTrace`` — and the shared
   compressed-size memo, so only the first device of a mix pays trace
   generation and first-touch compression;
 - *platforms* are tiny frozen configs derived per device (cheap), but

@@ -3,44 +3,30 @@
 This package models the parts of the Linux memory-management stack the
 paper's techniques live in: anonymous pages, the kernel's LRU page lists
 (active/inactive in stock Android, hot/warm/cold under Ariadne's
-HotnessOrg), and a capacity-tracked main memory.  Each organizer (and
-its LRU lists) exists in two bit-identical implementations selected by
-``REPRO_CORE``: the object model (:mod:`repro.mem.organizer`) and the
-numpy columnar core (:mod:`repro.mem.columnar`).
+HotnessOrg), and a capacity-tracked main memory.  The organizers
+(:mod:`repro.mem.organizer`) keep per-page metadata in a numpy handle
+table with index-linked LRU lists (:mod:`repro.mem.lru`) over it.
 """
 
-from .columnar import (
-    ColumnarActiveInactiveOrganizer,
-    ColumnarHotWarmColdOrganizer,
-    ColumnarOrganizerMixin,
-    make_tri_list_organizer,
-    make_two_list_organizer,
-    resolve_core,
-)
 from .dram import MainMemory
-from .lru import IndexLruList, LruList
+from .lru import IndexLruList
 from .organizer import (
     ActiveInactiveOrganizer,
     DataOrganizer,
+    HandleTable,
     HotWarmColdOrganizer,
 )
 from .page import Hotness, Page, PageKind, PageLocation
 
 __all__ = [
     "ActiveInactiveOrganizer",
-    "ColumnarActiveInactiveOrganizer",
-    "ColumnarHotWarmColdOrganizer",
-    "ColumnarOrganizerMixin",
     "DataOrganizer",
+    "HandleTable",
     "Hotness",
     "HotWarmColdOrganizer",
     "IndexLruList",
-    "LruList",
     "MainMemory",
     "Page",
     "PageKind",
     "PageLocation",
-    "make_tri_list_organizer",
-    "make_two_list_organizer",
-    "resolve_core",
 ]

@@ -1,172 +1,25 @@
 """Least-recently-used page lists with O(1) operations.
 
 Mirrors the kernel's per-zone LRU lists: most-recently-used pages sit at
-the head, reclaim pops from the tail.  Two interchangeable
-implementations share the API:
-
-- :class:`LruList` — an ``OrderedDict`` of :class:`Page` objects, the
-  object-model reference.
-- :class:`IndexLruList` — a numpy index-linked view over one list id of
-  a columnar handle table (``repro.mem.columnar``): membership and
-  recency live in flat integer columns, and bulk ``touch_run`` /
-  ``touch_all`` / ``add_run`` become single fancy-indexing kernels.
+the head, reclaim pops from the tail.  :class:`IndexLruList` is a numpy
+index-linked view over one list id of an organizer's handle table
+(:class:`repro.mem.organizer.HandleTable`): membership and recency live
+in flat integer columns, and bulk ``touch_run`` / ``add_run`` become
+single fancy-indexing kernels.  The per-page ``OrderedDict`` list the
+tests compare it against lives in ``tests/reference_organizers.py``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator
+
+import numpy as _np
 
 from ..errors import PageStateError
 from .page import Page
 
-try:  # Soft dependency: without numpy only LruList is constructible.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_CORE tests
-    _np = None
 
-
-class LruList:
-    """Ordered collection of pages, LRU at the tail, MRU at the head."""
-
-    def __init__(self, name: str = "lru") -> None:
-        self.name = name
-        #: Insertion order == recency order: last item is MRU.
-        self._pages: OrderedDict[int, Page] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    def __contains__(self, page: Page) -> bool:
-        return page.pfn in self._pages
-
-    def __iter__(self) -> Iterator[Page]:
-        """Iterate from LRU (evict-first) to MRU."""
-        return iter(self._pages.values())
-
-    @property
-    def total_bytes(self) -> int:
-        """Sum of page sizes on this list."""
-        return sum(page.size for page in self._pages.values())
-
-    def add(self, page: Page) -> None:
-        """Insert ``page`` at the MRU end; error if already present."""
-        if page.pfn in self._pages:
-            raise PageStateError(f"page {page.pfn} already on list {self.name!r}")
-        self._pages[page.pfn] = page
-
-    def add_run(self, pages) -> None:
-        """Insert pages at the MRU end in order; error on any duplicate.
-
-        The bulk analogue of :meth:`add` for admission batches: same
-        final order, same duplicate check, one attribute resolution.
-        """
-        _pages = self._pages
-        for page in pages:
-            pfn = page.pfn
-            if pfn in _pages:
-                raise PageStateError(
-                    f"page {pfn} already on list {self.name!r}"
-                )
-            _pages[pfn] = page
-
-    def add_lru(self, page: Page) -> None:
-        """Insert ``page`` at the LRU end (evicted first)."""
-        if page.pfn in self._pages:
-            raise PageStateError(f"page {page.pfn} already on list {self.name!r}")
-        self._pages[page.pfn] = page
-        self._pages.move_to_end(page.pfn, last=False)
-
-    def touch(self, page: Page) -> None:
-        """Move ``page`` to the MRU end; error if absent."""
-        if page.pfn not in self._pages:
-            raise PageStateError(f"page {page.pfn} not on list {self.name!r}")
-        self._pages.move_to_end(page.pfn)
-
-    def touch_run(self, pfns) -> int:
-        """Move already-present pages to the MRU end, in order; returns count.
-
-        The bulk analogue of :meth:`touch` for access replay: one
-        attribute resolution serves the whole run, and the in-order
-        moves leave exactly the recency order a touch-per-page loop
-        would.  Callers guarantee membership (the organizer classified
-        each pfn against this list's backing dict first); an absent pfn
-        is a caller bug and surfaces as :class:`PageStateError`.
-        """
-        move = self._pages.move_to_end
-        try:
-            for pfn in pfns:
-                move(pfn)
-        except KeyError:
-            raise PageStateError(
-                f"page {pfn} not on list {self.name!r}"
-            ) from None
-        return len(pfns)
-
-    def touch_all(self, pages, now_ns: int) -> int:
-        """Touch a run of pages known to live on *this* list; returns count.
-
-        The single-populated-list fast path of the organizers' bulk
-        access replay: when an app's every resident page sits on one
-        list (EHL/AL relaunches empty the other lists; the DRAM
-        baseline's inactive list drains), per-page membership
-        classification is pure overhead — each page's access stamps and
-        recency move happen in one fused loop with no per-pfn dict
-        probes beyond the move itself.  Exactly equivalent to the
-        classified path: every page would have classified onto this
-        list, a touch is one list operation, and stamps are
-        per-page either way.  An absent page is a caller bug and
-        surfaces as :class:`PageStateError`.
-        """
-        move = self._pages.move_to_end
-        try:
-            for page in pages:
-                page.last_access_ns = now_ns
-                page.access_count += 1
-                move(page.pfn)
-        except KeyError:
-            raise PageStateError(
-                f"page {page.pfn} not on list {self.name!r}"
-            ) from None
-        return len(pages)
-
-    def remove(self, page: Page) -> None:
-        """Remove ``page``; error if absent."""
-        if self._pages.pop(page.pfn, None) is None:
-            raise PageStateError(f"page {page.pfn} not on list {self.name!r}")
-
-    def discard(self, page: Page) -> bool:
-        """Remove ``page`` if present; return whether it was present."""
-        return self._pages.pop(page.pfn, None) is not None
-
-    def pop_lru(self) -> Page:
-        """Remove and return the least-recently-used page."""
-        if not self._pages:
-            raise PageStateError(f"list {self.name!r} is empty")
-        _, page = self._pages.popitem(last=False)
-        return page
-
-    def peek_lru(self) -> Page:
-        """Return (without removing) the least-recently-used page."""
-        if not self._pages:
-            raise PageStateError(f"list {self.name!r} is empty")
-        return next(iter(self._pages.values()))
-
-    def peek_mru(self) -> Page:
-        """Return (without removing) the most-recently-used page."""
-        if not self._pages:
-            raise PageStateError(f"list {self.name!r} is empty")
-        return next(reversed(self._pages.values()))
-
-    def pages_lru_order(self) -> list[Page]:
-        """Snapshot of all pages, LRU first."""
-        return list(self._pages.values())
-
-    def __repr__(self) -> str:
-        return f"LruList(name={self.name!r}, pages={len(self._pages)})"
-
-
-#: Sentinel list id for "on no list" in the columnar ``list_id`` column.
+#: Sentinel list id for "on no list" in the handle table's ``list_id`` column.
 NO_LIST = -1
 
 #: Batch size below which the index-linked list's bulk operations run a
@@ -177,11 +30,10 @@ _SMALL_RUN = 16
 
 
 class IndexLruList:
-    """Index-linked LRU list over one list id of a columnar handle table.
+    """Index-linked LRU list over one list id of a handle table.
 
-    API-compatible with :class:`LruList` (the organizers and their
-    callers cannot tell them apart), but membership and recency live in
-    the handle table's flat columns instead of per-page dict nodes:
+    Membership and recency live in the handle table's flat columns
+    instead of per-page dict nodes:
 
     - ``table.list_id[h] == lid`` says handle ``h`` is on this list;
     - ``table.pos[h]`` is its slot in the append-order ``_order`` array.
@@ -190,11 +42,11 @@ class IndexLruList:
     the tail of ``_order`` and bumps ``pos``, leaving the old slot
     *dead* (a slot ``p`` is live iff ``list_id[order[p]] == lid and
     pos[order[p]] == p``).  Ascending live positions therefore read
-    LRU -> MRU — the property the columnar ``end_relaunch`` journal
+    LRU -> MRU — the property the journal-bounded ``end_relaunch``
     sort relies on.  Dead slots are reclaimed by compaction when the
     array fills; ``pop_lru``/``peek`` skip them from the head at
-    amortized O(1).  Bulk ``add_run``/``touch_run``/``touch_all`` are
-    single fancy-indexed appends: writing ``pos[handles] = arange(...)``
+    amortized O(1).  Bulk ``add_run``/``touch_run`` are single
+    fancy-indexed appends: writing ``pos[handles] = arange(...)``
     resolves within-run duplicates last-write-wins, which is exactly
     the recency a touch-per-page loop leaves.
     """
@@ -267,7 +119,7 @@ class IndexLruList:
             raise PageStateError(f"page {page.pfn} not on list {self.name!r}")
         return h
 
-    # -- LruList API ---------------------------------------------------------
+    # -- list API ------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._count
@@ -292,11 +144,9 @@ class IndexLruList:
     def add(self, page: Page) -> None:
         """Insert ``page`` at the MRU end; error if already on a list.
 
-        Stricter than :class:`LruList.add`, which only rejects presence
-        on *this* list: a handle carries exactly one list id, so adding
-        a page that still sits on a sibling list would corrupt that
-        list's count.  No legitimate caller does this (the object core
-        would silently create the dual membership the auditor flags).
+        Presence on a *sibling* list is rejected too: a handle carries
+        exactly one list id, so adding a page that still sits on
+        another list would corrupt that list's count.
         """
         table = self._table
         h = table.ensure(page)
@@ -428,26 +278,6 @@ class IndexLruList:
                 )
             self._append_run(handles)
         return len(pfns)
-
-    def touch_all(self, pages, now_ns: int) -> int:
-        """Stamp and touch a run of pages known to live on this list.
-
-        The columns are the authoritative access stamps in the columnar
-        core; the per-page attributes are not written (see
-        ``repro.mem.columnar``).
-        """
-        table = self._table
-        handles = table.handles_for(pages)
-        if handles.size:
-            lids = table.list_id[handles]
-            if (lids != self._lid).any():
-                bad = pages[int(_np.argmax(lids != self._lid))]
-                raise PageStateError(
-                    f"page {bad.pfn} not on list {self.name!r}"
-                )
-            table.stamp_accesses(handles, now_ns)
-            self._append_run(handles)
-        return len(pages)
 
     def remove(self, page: Page) -> None:
         """Remove ``page``; error if absent."""

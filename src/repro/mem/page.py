@@ -46,14 +46,6 @@ class Hotness(enum.Enum):
         return {Hotness.HOT: 0, Hotness.WARM: 1, Hotness.COLD: 2}[self]
 
 
-#: Dense integer codes for :class:`Hotness`, used as list ids by the
-#: columnar page-metadata core (``repro.mem.columnar``).  The codes
-#: equal ``Hotness.rank`` so "evicted earlier" sorts ascending either
-#: way; ``-1`` (no list) is reserved and must stay out of this table.
-HOTNESS_TO_ID = {Hotness.HOT: 0, Hotness.WARM: 1, Hotness.COLD: 2}
-ID_TO_HOTNESS = {code: hotness for hotness, code in HOTNESS_TO_ID.items()}
-
-
 class PageLocation(enum.Enum):
     """Where a page's data currently resides."""
 
@@ -75,8 +67,6 @@ class Page:
         payload: The page's actual bytes (always ``PAGE_SIZE`` long).
         true_hotness: Ground-truth classification from the generator.
         location: Current residence of the data.
-        last_access_ns: Simulated time of the last access (LRU input).
-        access_count: Total accesses (debugging/metrics).
     """
 
     pfn: int
@@ -85,8 +75,6 @@ class Page:
     payload: bytes = b""
     true_hotness: Hotness = Hotness.COLD
     location: PageLocation = PageLocation.DRAM
-    last_access_ns: int = 0
-    access_count: int = field(default=0, repr=False)
     #: Cached 16-byte blake2b of the payload (see :meth:`content_digest`).
     _content_digest: bytes | None = field(
         default=None, repr=False, compare=False
@@ -105,11 +93,6 @@ class Page:
     def size(self) -> int:
         """Page size in bytes (constant, provided for readability)."""
         return PAGE_SIZE
-
-    def record_access(self, now_ns: int) -> None:
-        """Update recency bookkeeping after an access at ``now_ns``."""
-        self.last_access_ns = now_ns
-        self.access_count += 1
 
     def content_digest(self) -> bytes:
         """Collision-safe content key of the payload, computed once.

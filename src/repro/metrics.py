@@ -277,16 +277,16 @@ class AccessRun(list):
         self.uid = uid
         #: Scheme epoch at the last fully-resident replay (-1 = never).
         self.verified_epoch = -1
-        #: Memoized handle array of this run in its organizer's columnar
-        #: page table (``repro.mem.columnar``); None until first replay
-        #: under the columnar core.  Safe for the same reason
-        #: ``verified_epoch`` is: the run object is per-app per-system,
-        #: and handles are stable for the organizer's lifetime.
+        #: Memoized handle array of this run in its organizer's handle
+        #: table (``repro.mem.organizer.HandleTable``); None until the
+        #: first replay.  Safe for the same reason ``verified_epoch``
+        #: is: the run object is per-app per-system, and handles are
+        #: stable for the organizer's lifetime.
         self.columnar_handles = None
         #: Optional ``(host_dict, key)`` for sharing the handle array
         #: across systems built from the same immutable trace (set by
-        #: ``LiveApp.access_run``; consumed by the columnar organizers,
-        #: which verify table agreement before trusting an entry).
+        #: ``LiveApp.access_run``; consumed by the organizers, which
+        #: verify table agreement before trusting an entry).
         self.handle_cache = None
 
 

@@ -88,13 +88,13 @@ class LiveApp:
         if run is None:
             pages = self.pages
             run = AccessRun([pages[pfn] for pfn in pfns], self.uid)
-            # Columnar core: a trace-level host for this run's handle
-            # array.  Handles are a pure function of the immutable
-            # trace (first-touch = launch creation order), so every
-            # system built from this trace assigns the same numbers and
-            # the array can be shared across systems and schemes (the
-            # organizer still verifies agreement before trusting it —
-            # see ``ColumnarOrganizerMixin.run_handles``).
+            # A trace-level host for this run's handle array.  Handles
+            # are a pure function of the immutable trace (first-touch =
+            # launch creation order), so every system built from this
+            # trace assigns the same numbers and the array can be
+            # shared across systems and schemes (the organizer still
+            # verifies agreement before trusting it — see
+            # ``DataOrganizer.run_handles``).
             trace = self.trace
             host = getattr(trace, "_columnar_run_handles", None)
             if host is None:
@@ -154,9 +154,9 @@ class MobileSystem:
         self.scheme.register_app(
             live.uid, hot_seed_limit=live.trace.launch_page_count
         )
-        # Columnar core: page handles are allocated lazily on first
-        # admission (``handles_for`` ensures unknown pages in creation
-        # order), so no separate priming pass is needed here.
+        # Page handles are allocated lazily on first admission
+        # (``handles_for`` ensures unknown pages in creation order), so
+        # no separate priming pass is needed here.
         self.scheme.note_app_switch(live.uid)
         # The whole launch stream arrives as one coalesced (uid,
         # timestamp-ordered) run: batched admission is number-invariant

@@ -342,11 +342,14 @@ class TestBulkOrganizerOps:
         assert _organizer_fingerprint(bulk_org) == _organizer_fingerprint(
             loop_org
         )
-        for bulk_page, loop_page in zip(bulk_pages, loop_pages):
-            assert bulk_page.access_count == loop_page.access_count
-            assert bulk_page.last_access_ns == loop_page.last_access_ns
         if relaunch and organizer_cls == "hwc":
-            assert bulk_org._relaunch_accessed == loop_org._relaunch_accessed
+            # Both paths must have recorded the same relaunch-touched
+            # set: the hotness update rebuilds identical lists.
+            bulk_org.end_relaunch()
+            loop_org.end_relaunch()
+            assert _organizer_fingerprint(bulk_org) == _organizer_fingerprint(
+                loop_org
+            )
 
     def test_hwc_add_page_run_splits_seed_budget(self):
         bulk = HotWarmColdOrganizer(uid=1, hot_seed_limit=5)

@@ -236,63 +236,31 @@ class TestLzoEquivalence:
         for data in CORPUS:
             assert codec.compressed_size(data) == len(codec.compress(data))
 
-    def test_scan_fallback_matches_indexed_path(self, monkeypatch):
-        """The dependency-free path is equivalent too (numpy-less hosts)."""
+    def test_scan_fallback_matches_indexed_path(self):
+        """The short-input scan path parses every input identically."""
         codec = LzoCompressor()
-        indexed = [codec.compress(data) for data in CORPUS]
-        monkeypatch.setattr(lzo_mod, "_np", None)
-        for data, expected in zip(CORPUS, indexed):
-            assert codec.compress(data) == expected
-            assert codec.compressed_size(data) == len(expected)
+        for data in CORPUS:
+            expected = codec.compress(data)
+            assert lzo_mod._compress_scan(data, 32 * 1024) == expected
+            assert lzo_mod._size_scan(data, 32 * 1024) == len(expected)
 
     def test_roundtrip_on_corpus(self):
         codec = LzoCompressor()
         for data in CORPUS:
             assert codec.decompress(codec.compress(data), len(data)) == data
 
-    @pytest.mark.parametrize("max_distance", [300, 32 * 1024])
-    def test_bucketed_index_byte_identical(self, monkeypatch, max_distance):
-        """The cache-conscious bucketed previous-occurrence fill must be
-        byte-identical to the direct fill (and hence to the reference
-        parse) on every corpus input, for blob and size-only parses."""
-        codec = LzoCompressor(max_distance=max_distance)
-        monkeypatch.setattr(lzo_mod, "_INDEX_MODE", "direct")
-        direct = [
-            (codec.compress(data), codec.compressed_size(data))
-            for data in CORPUS
-        ]
-        monkeypatch.setattr(lzo_mod, "_INDEX_MODE", "bucketed")
-        for data, (blob, size) in zip(CORPUS, direct):
-            assert codec.compress(data) == blob
-            assert codec.compressed_size(data) == size == len(blob)
-
-    def test_bucketed_index_large_input_exceeds_workspace(self, monkeypatch):
-        """Oversized inputs take the dedicated-workspace path; the
-        bucketed fill must stay exact there too."""
+    def test_bucketed_index_large_input_exceeds_workspace(self):
+        """Oversized inputs take the dedicated-workspace path of the
+        indexed parse; it must stay exact there too."""
         rng = random.Random(5)
         big = b"".join(
             rng.choice(CORPUS[-6:]) for _ in range(40)
         )[: 80 * 1024]
+        assert len(big) - 2 > lzo_mod._WORKSPACE_CAP
         codec = LzoCompressor()
-        monkeypatch.setattr(lzo_mod, "_INDEX_MODE", "direct")
-        expected = codec.compress(big)
-        monkeypatch.setattr(lzo_mod, "_INDEX_MODE", "bucketed")
+        expected = reference_lzo_compress(big)
         assert codec.compress(big) == expected
         assert codec.compressed_size(big) == len(expected)
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [
-            (None, "direct"),
-            ("", "direct"),
-            ("direct", "direct"),
-            ("BUCKETED", "bucketed"),
-            ("  bucketed  ", "bucketed"),
-            ("warp-drive", "direct"),
-        ],
-    )
-    def test_index_mode_resolution(self, value, expected):
-        assert lzo_mod._resolve_index_mode(value) == expected
 
 
 class TestLz4Equivalence:
@@ -315,15 +283,11 @@ class TestLz4Equivalence:
         for data in CORPUS:
             assert codec.compressed_size(data) == len(codec.compress(data))
 
-    def test_size_scan_fallback_matches_blob_length(self, monkeypatch):
-        """The dependency-free size path is exact too (numpy-less hosts)."""
-        from repro.compression import lz4 as lz4_mod
-
+    def test_size_scan_fallback_matches_blob_length(self):
+        """The short-input size path is exact on every input too."""
         codec = Lz4Compressor()
-        blobs = [codec.compress(data) for data in CORPUS]
-        monkeypatch.setattr(lz4_mod, "_np", None)
-        for data, blob in zip(CORPUS, blobs):
-            assert codec.compressed_size(data) == len(blob)
+        for data in CORPUS:
+            assert codec._size_scan(data) == len(codec.compress(data))
 
     def test_roundtrip_on_corpus(self):
         codec = Lz4Compressor()

@@ -1,9 +1,12 @@
-"""Differential and unit coverage of the columnar page-metadata core.
+"""Differential and unit coverage of the organizers' handle-table core.
 
-The columnar organizers (``repro.mem.columnar``) promise *bit-identical*
-numbers to the object core: same final list orders, same
-``list_operations``, same CPU ledger, counters, and epochs.  This file
-pins that promise three ways:
+The organizers (``repro.mem.organizer``) keep per-page metadata in
+numpy columns, touch runs with vectorized kernels and bound the
+relaunch hotness update by a touched-page journal.  They promise the
+numbers of the plain per-page organizers in
+``tests/reference_organizers.py``: same final list orders, same
+``list_operations``, and — inside a scheme — the same CPU ledger,
+counters, clock and epochs.  This file pins that promise three ways:
 
 - organizer-level randomized differentials (every list operation, with
   within-run duplicate pfns and relaunch bracketing — including the
@@ -11,34 +14,29 @@ pins that promise three ways:
 - system-level randomized differentials (launch / relaunch /
   force-compress / kill / terminate interleavings with fault and
   pressure plans installed), asserting full system fingerprints;
-- auditor coverage: ``REPRO_AUDIT=1`` green under the columnar core,
-  and planted-drift tests proving the new columnar cross-checks catch
-  corrupted counts, list ids, and order/pos linkage.
+- auditor coverage: ``REPRO_AUDIT=1`` green, and planted-drift tests
+  proving the handle-table cross-checks catch corrupted counts, list
+  ids, and order/pos linkage.
 
-Plus the core-selection contract (``REPRO_CORE``, numpy-missing
-fallback warning) and :class:`repro.mem.lru.IndexLruList` API edges.
+Plus :class:`repro.mem.lru.IndexLruList` API edges.
 """
 
 from __future__ import annotations
 
 import random
+from types import MethodType
 
 import pytest
 
+from reference_organizers import (
+    ReferenceActiveInactiveOrganizer,
+    ReferenceHotWarmColdOrganizer,
+)
 from tiny_workload import build_tiny
-from repro.errors import ConfigError, InvariantViolationError, PageStateError
+from repro.core.scheme import SwapScheme
+from repro.errors import InvariantViolationError, PageStateError
 from repro.faults import FaultPlan, install_fault_plan
 from repro.lmk import PressureConfig, PressurePlan, install_pressure
-from repro.mem import columnar
-from repro.mem.columnar import (
-    ColumnarActiveInactiveOrganizer,
-    ColumnarHotWarmColdOrganizer,
-    ColumnarOrganizerMixin,
-    make_tri_list_organizer,
-    make_two_list_organizer,
-    resolve_core,
-)
-from repro.mem.lru import IndexLruList
 from repro.mem.organizer import ActiveInactiveOrganizer, HotWarmColdOrganizer
 from repro.mem.page import Page
 
@@ -48,62 +46,12 @@ def make_pages(n: int, uid: int = 1) -> list[Page]:
 
 
 # --------------------------------------------------------------------------
-# Core selection (REPRO_CORE + numpy fallback)
-# --------------------------------------------------------------------------
-
-
-class TestCoreSelection:
-    def test_default_resolves_columnar_when_numpy_present(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CORE", raising=False)
-        assert resolve_core() == "columnar"
-        assert isinstance(
-            make_tri_list_organizer(1, 4), ColumnarHotWarmColdOrganizer
-        )
-        assert isinstance(
-            make_two_list_organizer(1), ColumnarActiveInactiveOrganizer
-        )
-
-    def test_object_forces_reference_classes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "object")
-        tri = make_tri_list_organizer(1, 4)
-        two = make_two_list_organizer(1)
-        assert type(tri) is HotWarmColdOrganizer
-        assert type(two) is ActiveInactiveOrganizer
-        assert not isinstance(tri, ColumnarOrganizerMixin)
-
-    def test_invalid_value_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "vectorized")
-        with pytest.raises(ConfigError, match="REPRO_CORE"):
-            resolve_core()
-
-    def test_missing_numpy_falls_back_with_one_warning(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(columnar, "_np", None)
-        monkeypatch.setattr(columnar, "_warned_no_numpy", False)
-        for mode in ("auto", "columnar"):
-            monkeypatch.setenv("REPRO_CORE", mode)
-            assert resolve_core() == "object"
-            assert type(make_tri_list_organizer(1, 2)) is HotWarmColdOrganizer
-        err = capsys.readouterr().err
-        assert err.count("numpy unavailable") == 1  # warned once, not twice
-
-    def test_columnar_is_subclass_for_isinstance_dispatch(self):
-        # ariadne.py gates HotnessOrg paths on isinstance(...,
-        # HotWarmColdOrganizer); the columnar organizer must satisfy it.
-        assert issubclass(ColumnarHotWarmColdOrganizer, HotWarmColdOrganizer)
-        assert issubclass(
-            ColumnarActiveInactiveOrganizer, ActiveInactiveOrganizer
-        )
-
-
-# --------------------------------------------------------------------------
 # IndexLruList API edges
 # --------------------------------------------------------------------------
 
 
 def tri_views():
-    org = ColumnarHotWarmColdOrganizer(uid=1, hot_seed_limit=0)
+    org = HotWarmColdOrganizer(uid=1, hot_seed_limit=0)
     return org, org.cold
 
 
@@ -187,73 +135,76 @@ class TestIndexLruList:
 # --------------------------------------------------------------------------
 
 
-def drive_pair(reference, columnar_org, seed: int, steps: int = 400):
-    """Apply one random op stream to both organizers; compare throughout."""
+def drive_pair(reference, under_test, seed: int, steps: int = 400):
+    """Apply one random op stream to the oracle and the organizer under
+    test; compare throughout."""
     rng = random.Random(seed)
     pages = make_pages(40)
     added: list[Page] = []
     in_relaunch = False
 
     def sync_check():
-        assert reference.list_operations == columnar_org.list_operations
-        if isinstance(reference, HotWarmColdOrganizer):
+        assert reference.list_operations == under_test.list_operations
+        if isinstance(under_test, HotWarmColdOrganizer):
             names = ("hot", "warm", "cold")
         else:
             names = ("active", "inactive")
         for name in names:
             ref_list = getattr(reference, name)
-            col_list = getattr(columnar_org, name)
-            assert [p.pfn for p in ref_list] == [p.pfn for p in col_list], name
-            assert len(ref_list) == len(col_list)
-        columnar_org.audit_columnar_state()
+            got_list = getattr(under_test, name)
+            assert [p.pfn for p in ref_list] == [p.pfn for p in got_list], name
+            assert len(ref_list) == len(got_list)
+        under_test.audit_columnar_state()
 
     for step in range(steps):
         op = rng.random()
         if op < 0.30 and len(added) < len(pages):
             page = next(p for p in pages if p not in added)
             reference.add_page(page)
-            columnar_org.add_page(page)
+            under_test.add_page(page)
             added.append(page)
         elif op < 0.40 and len(added) < len(pages) - 3:
             batch = [p for p in pages if p not in added][: rng.randrange(1, 4)]
             reference.add_page_run(list(batch))
-            columnar_org.add_page_run(list(batch))
+            under_test.add_page_run(list(batch))
             added.extend(batch)
         elif op < 0.70 and added:
-            # Access run with duplicates (a pfn can repeat within a run).
-            run = [rng.choice(added) for _ in range(rng.randrange(1, 8))]
+            # Access run with duplicates (a pfn can repeat within a run),
+            # short and long enough for both the per-page and the
+            # vectorized kernel.
+            run = [rng.choice(added) for _ in range(rng.randrange(1, 30))]
             reference.on_access_run(list(run), now_ns=step)
-            columnar_org.on_access_run(list(run), now_ns=step)
+            under_test.on_access_run(list(run), now_ns=step)
         elif op < 0.78 and added:
             page = rng.choice(added)
             reference.on_access(page, now_ns=step)
-            columnar_org.on_access(page, now_ns=step)
+            under_test.on_access(page, now_ns=step)
         elif op < 0.86 and added:
             ref_victim = reference.pop_victim()
-            col_victim = columnar_org.pop_victim()
-            assert ref_victim.pfn == col_victim.pfn
+            got_victim = under_test.pop_victim()
+            assert ref_victim.pfn == got_victim.pfn
             added.remove(ref_victim)
         elif op < 0.90 and added:
             page = rng.choice(added)
             reference.remove_page(page)
-            columnar_org.remove_page(page)
+            under_test.remove_page(page)
             added.remove(page)
-        elif op < 0.95 and isinstance(reference, HotWarmColdOrganizer):
+        elif op < 0.95 and isinstance(under_test, HotWarmColdOrganizer):
             if in_relaunch:
                 reference.end_relaunch()
-                columnar_org.end_relaunch()
+                under_test.end_relaunch()
                 in_relaunch = False
             else:
                 reference.begin_relaunch()
-                columnar_org.begin_relaunch()
+                under_test.begin_relaunch()
                 in_relaunch = True
-        if step == 40 and isinstance(reference, HotWarmColdOrganizer):
+        if step == 40 and isinstance(under_test, HotWarmColdOrganizer):
             reference.end_launch_window()
-            columnar_org.end_launch_window()
+            under_test.end_launch_window()
         sync_check()
     if in_relaunch:
         reference.end_relaunch()
-        columnar_org.end_relaunch()
+        under_test.end_relaunch()
         sync_check()
 
 
@@ -261,29 +212,29 @@ class TestOrganizerDifferential:
     @pytest.mark.parametrize("seed", range(6))
     def test_tri_list_random_interleavings(self, seed):
         drive_pair(
+            ReferenceHotWarmColdOrganizer(uid=1, hot_seed_limit=6),
             HotWarmColdOrganizer(uid=1, hot_seed_limit=6),
-            ColumnarHotWarmColdOrganizer(uid=1, hot_seed_limit=6),
             seed=seed,
         )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_two_list_random_interleavings(self, seed):
         drive_pair(
+            ReferenceActiveInactiveOrganizer(uid=1, refill_batch=4),
             ActiveInactiveOrganizer(uid=1, refill_batch=4),
-            ColumnarActiveInactiveOrganizer(uid=1, refill_batch=4),
             seed=seed,
         )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_end_relaunch_journal_ordering_equivalence(self, seed):
-        """The journal-bounded promotion scan must reproduce the object
-        core's full warm+cold walk *order*, not just its membership: the
+        """The journal-bounded promotion scan must reproduce the oracle's
+        full warm+cold walk *order*, not just its membership: the
         new hot list is rebuilt in warm-LRU-then-cold-LRU order, which
         seeds the next relaunch's demotion order.  Touch patterns with
         repeats, cold->warm promotions mid-relaunch, and untouched hot
         pages all have to land identically."""
-        reference = HotWarmColdOrganizer(uid=1, hot_seed_limit=8)
-        under_test = ColumnarHotWarmColdOrganizer(uid=1, hot_seed_limit=8)
+        reference = ReferenceHotWarmColdOrganizer(uid=1, hot_seed_limit=8)
+        under_test = HotWarmColdOrganizer(uid=1, hot_seed_limit=8)
         rng = random.Random(seed)
         pages = make_pages(24)
         for org in (reference, under_test):
@@ -309,8 +260,8 @@ class TestOrganizerDifferential:
         # The trap case: occurrence 1 promotes cold->warm (+2), and the
         # second occurrence must count as a *warm* touch (+1) even
         # though the snapshot classified it cold.
-        reference = HotWarmColdOrganizer(uid=1, hot_seed_limit=0)
-        under_test = ColumnarHotWarmColdOrganizer(uid=1, hot_seed_limit=0)
+        reference = ReferenceHotWarmColdOrganizer(uid=1, hot_seed_limit=0)
+        under_test = HotWarmColdOrganizer(uid=1, hot_seed_limit=0)
         page = make_pages(1)[0]
         for org in (reference, under_test):
             org.add_page(page)
@@ -321,20 +272,8 @@ class TestOrganizerDifferential:
             p.pfn for p in under_test.warm
         ]
 
-    def test_access_stamps_live_in_the_columns(self):
-        org = ColumnarHotWarmColdOrganizer(uid=1, hot_seed_limit=4)
-        pages = make_pages(3)
-        org.add_page_run(list(pages))
-        org.on_access_run([pages[0], pages[0], pages[2]], now_ns=77)
-        table = org._table
-        h0 = table.index[pages[0].pfn]
-        h2 = table.index[pages[2].pfn]
-        assert table.access_count[h0] == 2  # duplicate counted per occurrence
-        assert table.access_count[h2] == 1
-        assert table.last_access_ns[h0] == 77
-
     def test_access_to_nonresident_page_raises(self):
-        org = ColumnarHotWarmColdOrganizer(uid=1, hot_seed_limit=4)
+        org = HotWarmColdOrganizer(uid=1, hot_seed_limit=4)
         resident, absent = make_pages(2)
         org.add_page(resident)
         with pytest.raises(PageStateError, match="not resident"):
@@ -349,7 +288,7 @@ class TestOrganizerDifferential:
 
 
 def _organizer_fingerprint(organizer) -> dict:
-    if isinstance(organizer, HotWarmColdOrganizer):
+    if hasattr(organizer, "hot"):
         names = ("hot", "warm", "cold")
     else:
         names = ("active", "inactive")
@@ -362,14 +301,15 @@ def _organizer_fingerprint(organizer) -> dict:
 
 
 def _system_fingerprint(system) -> dict:
+    # epoch_skips / residency_probes count the fast replay path's own
+    # probes, which the per-page reference never makes; the white-box
+    # tests in test_access_batch.py pin them.
     scheme = system.scheme
     return {
         "clock": system.ctx.clock.now_ns,
         "cpu": dict(system.ctx.cpu._by_pair),
         "counters": system.ctx.counters.as_dict(),
         "epoch": scheme.eviction_epoch,
-        "epoch_skips": scheme.epoch_skips,
-        "residency_probes": scheme.residency_probes,
         "organizers": {
             uid: _organizer_fingerprint(org)
             for uid, org in scheme._organizers.items()
@@ -377,54 +317,66 @@ def _system_fingerprint(system) -> dict:
     }
 
 
-def _drive_scenario(core: str, scheme_name: str, trace, seed: int) -> dict:
-    """One seeded lifecycle scenario under ``core``; returns fingerprint."""
-    import os
+def _use_oracle(scheme) -> None:
+    """Swap in the per-page reference organizers and replay path."""
 
-    os.environ["REPRO_CORE"] = core
-    try:
-        # ZSWAP runs on the tight platform so its writeback/readahead
-        # machinery (batch records, staging buffer) engages under both
-        # cores; the roomy tiny platform would leave it a ZRAM clone.
-        system = build_tiny(
-            scheme_name, trace, tight=(scheme_name == "ZSWAP")
-        )
-        install_fault_plan(
-            system.ctx,
-            FaultPlan(
-                seed=seed,
-                read_error_rate=0.05,
-                bitflip_rate=0.02,
-                permanent_fraction=0.5,
-            ),
-        )
-        install_pressure(
-            system, PressurePlan(PressureConfig(policy="hybrid"))
-        )
-        names = [live.name for live in system.apps]
-        for name in names:
-            system.launch_app(name)
-        rng = random.Random(seed)
-        for _ in range(14):
-            action = rng.random()
-            name = rng.choice(names)
-            live = system.app(name)
-            if action < 0.55:
-                system.relaunch(name)
-            elif action < 0.70:
-                system.switch_away(name)
-            elif action < 0.85 and scheme_name != "DRAM":
-                # The DRAM baseline never evicts (prepare_relaunch skips
-                # it for the same reason).
-                system.scheme.force_compress_app(
-                    live.uid, exclude_hot=rng.random() < 0.5
-                )
-            elif not live.killed:
-                system.scheme.terminate_app(live.uid)
-                system.mark_killed(live.uid)
-        return _system_fingerprint(system)
-    finally:
-        os.environ.pop("REPRO_CORE", None)
+    def make_reference(uid: int, hot_seed_limit: int):
+        config = getattr(scheme, "config", None)
+        if getattr(config, "hotness_org_enabled", False):
+            return ReferenceHotWarmColdOrganizer(uid, hot_seed_limit)
+        return ReferenceActiveInactiveOrganizer(uid)
+
+    scheme._make_organizer = make_reference
+    scheme.access_batch = MethodType(SwapScheme.access_batch, scheme)
+
+
+def _drive_scenario(oracle: bool, scheme_name: str, trace, seed: int) -> dict:
+    """One seeded lifecycle scenario; returns the system fingerprint."""
+    # ZSWAP runs on the tight platform so its writeback/readahead
+    # machinery (batch records, staging buffer) engages on both sides;
+    # the roomy tiny platform would leave it a ZRAM clone.
+    system = build_tiny(scheme_name, trace, tight=(scheme_name == "ZSWAP"))
+    if oracle:
+        _use_oracle(system.scheme)
+    install_fault_plan(
+        system.ctx,
+        FaultPlan(
+            seed=seed,
+            read_error_rate=0.05,
+            bitflip_rate=0.02,
+            permanent_fraction=0.5,
+        ),
+    )
+    install_pressure(system, PressurePlan(PressureConfig(policy="hybrid")))
+    names = [live.name for live in system.apps]
+    for name in names:
+        system.launch_app(name)
+    reference_types = (
+        ReferenceActiveInactiveOrganizer, ReferenceHotWarmColdOrganizer,
+    )
+    assert all(
+        isinstance(org, reference_types) == oracle
+        for org in system.scheme._organizers.values()
+    )
+    rng = random.Random(seed)
+    for _ in range(14):
+        action = rng.random()
+        name = rng.choice(names)
+        live = system.app(name)
+        if action < 0.55:
+            system.relaunch(name)
+        elif action < 0.70:
+            system.switch_away(name)
+        elif action < 0.85 and scheme_name != "DRAM":
+            # The DRAM baseline never evicts (prepare_relaunch skips
+            # it for the same reason).
+            system.scheme.force_compress_app(
+                live.uid, exclude_hot=rng.random() < 0.5
+            )
+        elif not live.killed:
+            system.scheme.terminate_app(live.uid)
+            system.mark_killed(live.uid)
+    return _system_fingerprint(system)
 
 
 class TestSystemDifferential:
@@ -433,17 +385,14 @@ class TestSystemDifferential:
     def test_lifecycle_interleavings_fingerprint_identical(
         self, tiny_trace, scheme_name, seed
     ):
-        object_fp = _drive_scenario("object", scheme_name, tiny_trace, seed)
-        columnar_fp = _drive_scenario(
-            "columnar", scheme_name, tiny_trace, seed
-        )
-        assert object_fp == columnar_fp
+        oracle_fp = _drive_scenario(True, scheme_name, tiny_trace, seed)
+        assert _drive_scenario(False, scheme_name, tiny_trace, seed) == oracle_fp
 
     def test_swap_and_dram_schemes_fingerprint_identical(self, tiny_trace):
         for scheme_name in ("SWAP", "DRAM"):
             assert _drive_scenario(
-                "object", scheme_name, tiny_trace, 7
-            ) == _drive_scenario("columnar", scheme_name, tiny_trace, 7)
+                True, scheme_name, tiny_trace, 7
+            ) == _drive_scenario(False, scheme_name, tiny_trace, 7)
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +405,6 @@ class TestColumnarAudit:
         self, tiny_trace, monkeypatch
     ):
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        monkeypatch.setenv("REPRO_CORE", "columnar")
         system = build_tiny("Ariadne", tiny_trace)
         names = [live.name for live in system.apps]
         for name in names:
@@ -467,7 +415,7 @@ class TestColumnarAudit:
         assert system.scheme._auditor.audits_performed > 0
 
     def _audited_organizer(self):
-        org = ColumnarHotWarmColdOrganizer(uid=1, hot_seed_limit=2)
+        org = HotWarmColdOrganizer(uid=1, hot_seed_limit=2)
         org.add_page_run(make_pages(6))
         org.audit_columnar_state()  # sanity: green before planting drift
         return org

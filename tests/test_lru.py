@@ -7,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageStateError
-from repro.mem import LruList, Page
+from repro.mem import HandleTable, IndexLruList, Page
 
 
 def make_page(pfn: int) -> Page:
     return Page(pfn=pfn, uid=1)
 
 
+def make_list() -> IndexLruList:
+    """A standalone list: list id 0 over its own handle table."""
+    return IndexLruList(HandleTable(), 0, "lru")
+
+
 def test_pop_lru_returns_oldest():
-    lru = LruList()
+    lru = make_list()
     pages = [make_page(i) for i in range(3)]
     for page in pages:
         lru.add(page)
@@ -24,7 +29,7 @@ def test_pop_lru_returns_oldest():
 
 
 def test_touch_moves_to_mru():
-    lru = LruList()
+    lru = make_list()
     pages = [make_page(i) for i in range(3)]
     for page in pages:
         lru.add(page)
@@ -34,7 +39,7 @@ def test_touch_moves_to_mru():
 
 
 def test_add_lru_inserts_at_evict_end():
-    lru = LruList()
+    lru = make_list()
     lru.add(make_page(1))
     oldest = make_page(2)
     lru.add_lru(oldest)
@@ -42,7 +47,7 @@ def test_add_lru_inserts_at_evict_end():
 
 
 def test_duplicate_add_rejected():
-    lru = LruList()
+    lru = make_list()
     page = make_page(1)
     lru.add(page)
     with pytest.raises(PageStateError):
@@ -50,7 +55,7 @@ def test_duplicate_add_rejected():
 
 
 def test_remove_missing_rejected_discard_tolerates():
-    lru = LruList()
+    lru = make_list()
     page = make_page(1)
     with pytest.raises(PageStateError):
         lru.remove(page)
@@ -60,7 +65,7 @@ def test_remove_missing_rejected_discard_tolerates():
 
 
 def test_empty_list_operations_raise():
-    lru = LruList()
+    lru = make_list()
     with pytest.raises(PageStateError):
         lru.pop_lru()
     with pytest.raises(PageStateError):
@@ -70,14 +75,14 @@ def test_empty_list_operations_raise():
 
 
 def test_total_bytes_counts_pages():
-    lru = LruList()
+    lru = make_list()
     lru.add(make_page(1))
     lru.add(make_page(2))
     assert lru.total_bytes == 2 * 4096
 
 
 def test_iteration_is_lru_to_mru():
-    lru = LruList()
+    lru = make_list()
     pages = [make_page(i) for i in range(5)]
     for page in pages:
         lru.add(page)
@@ -93,8 +98,8 @@ def test_iteration_is_lru_to_mru():
     )
 )
 def test_matches_reference_model(ops):
-    """The LruList must agree with a simple list-based reference model."""
-    lru = LruList()
+    """The list must agree with a simple list-based reference model."""
+    lru = make_list()
     model: list[int] = []
     pages = {i: make_page(i) for i in range(10)}
     for op, pfn in ops:
@@ -114,7 +119,7 @@ class TestBulkOps:
     """touch_run / add_run equal their per-page loops."""
 
     def test_touch_run_matches_touch_loop(self):
-        bulk, loop = LruList(), LruList()
+        bulk, loop = make_list(), make_list()
         for i in range(6):
             bulk.add(make_page(i))
             loop.add(make_page(i))
@@ -125,19 +130,19 @@ class TestBulkOps:
         assert [p.pfn for p in bulk] == [p.pfn for p in loop]
 
     def test_touch_run_returns_count(self):
-        lru = LruList()
+        lru = make_list()
         for i in range(3):
             lru.add(make_page(i))
         assert lru.touch_run([0, 1, 0]) == 3
 
     def test_touch_run_absent_pfn_raises(self):
-        lru = LruList()
+        lru = make_list()
         lru.add(make_page(1))
         with pytest.raises(PageStateError):
             lru.touch_run([1, 99])
 
     def test_add_run_matches_add_loop(self):
-        bulk, loop = LruList(), LruList()
+        bulk, loop = make_list(), make_list()
         pages = [make_page(i) for i in (3, 1, 4, 1 + 10, 5)]
         bulk.add_run(pages)
         for page in pages:
@@ -145,7 +150,7 @@ class TestBulkOps:
         assert [p.pfn for p in bulk] == [p.pfn for p in loop]
 
     def test_add_run_duplicate_raises(self):
-        lru = LruList()
+        lru = make_list()
         lru.add(make_page(7))
         with pytest.raises(PageStateError):
             lru.add_run([make_page(8), make_page(7)])

@@ -18,14 +18,6 @@ def test_wrong_payload_length_rejected():
         Page(pfn=1, uid=1, payload=b"short")
 
 
-def test_record_access_updates_recency():
-    page = Page(pfn=1, uid=1)
-    page.record_access(123)
-    page.record_access(456)
-    assert page.last_access_ns == 456
-    assert page.access_count == 2
-
-
 def test_equality_is_by_identity_tuple():
     assert Page(pfn=1, uid=1) == Page(pfn=1, uid=1)
     assert Page(pfn=1, uid=1) != Page(pfn=1, uid=2)

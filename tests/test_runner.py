@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.experiments import Experiment, common, experiment, registry
+from repro.experiments import Experiment, common, experiment, registry, runner
 from repro.experiments.runner import (
     ExperimentOutcome,
     TaskFailure,
@@ -92,6 +92,42 @@ class _FakeShardedCrashing(_FakeSharded):
     def run_cell(self, key: str, quick: bool = False) -> dict:
         if key == "die" and os.getpid() != _MAIN_PID:
             os._exit(41)  # simulated segfault/OOM-kill: no cleanup, no result
+        return super().run_cell(key, quick)
+
+
+_ORIGINAL_WORKER_INIT = runner._worker_init
+
+
+def _sigmask_log() -> list[str]:
+    try:
+        with open(os.environ["REPRO_TEST_SIGMASK_LOG"]) as log:
+            return log.read().split()
+    except FileNotFoundError:
+        return []
+
+
+def _recording_worker_init(event_queue) -> None:
+    """Pool initializer wrapper: log whether SIGTERM arrived blocked."""
+    blocked = signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    with open(os.environ["REPRO_TEST_SIGMASK_LOG"], "a") as log:
+        log.write(f"{int(blocked)}\n")
+    _ORIGINAL_WORKER_INIT(event_queue)
+
+
+class _FakeShardedCrashThenWait(_FakeSharded):
+    """One cell kills its worker; the other holds the run open until the
+    pool's replacement for the dead worker has started (3 inits)."""
+
+    def cell_keys(self, quick: bool = False) -> list[str]:
+        return ["die", "wait"]
+
+    def run_cell(self, key: str, quick: bool = False) -> dict:
+        if key == "die" and os.getpid() != _MAIN_PID:
+            os._exit(41)
+        if key == "wait":
+            deadline = time.monotonic() + 30
+            while len(_sigmask_log()) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
         return super().run_cell(key, quick)
 
 
@@ -371,6 +407,28 @@ class TestFailurePaths:
         assert failure.kind == "crash"
         assert failure.cell == "die"
         assert "died mid-task" in failure.error
+
+    def test_workers_start_with_sigterm_blocked(self, monkeypatch, tmp_path):
+        # A terminate() SIGTERM that reaches a freshly forked worker
+        # before _worker_init must stay pending in the kernel, or
+        # pool.join() can wait on that worker forever.  That holds only
+        # if every worker, the crash replacement included, is born
+        # with SIGTERM blocked.
+        log = tmp_path / "sigmask.log"
+        monkeypatch.setenv("REPRO_TEST_SIGMASK_LOG", str(log))
+        monkeypatch.setattr(runner, "_worker_init", _recording_worker_init)
+        monkeypatch.setitem(
+            registry._REGISTRY, "fake", _FakeShardedCrashThenWait()
+        )
+        (outcome,) = run_experiments(
+            ["fake"], jobs=2, task_retries=0, serial_fallback=False
+        )
+        assert [f.cell for f in outcome.failures] == ["die"]
+        inits = _sigmask_log()
+        assert len(inits) >= 3  # two initial workers + the replacement
+        assert set(inits) == {"1"}, inits
+        parent_mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        assert signal.SIGTERM not in parent_mask
 
     def test_serial_fallback_rescues_a_crashing_cell(self, monkeypatch):
         # The cell kills every *worker* it runs in; the final in-parent
