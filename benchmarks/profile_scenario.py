@@ -108,14 +108,6 @@ def profile(
         f"{probed.accounting_updates} occupancy-hook updates "
         "(incremental free-bytes counter, no recompute per probe)"
     )
-    # The eviction-epoch layer's effectiveness at a glance: batches the
-    # replay served with zero per-page residency probes vs the probes
-    # the run-splitting fallback still performed (PR 5).
-    print(
-        f"# epochs: {probed.epoch_skips} epoch-verified batch skips, "
-        f"{probed.residency_probes} residency probes, "
-        f"eviction_epoch {probed.eviction_epoch}"
-    )
     # The organizers' kernel/journal counters aggregated over every
     # app, so a profile shows how much of the replay went through the
     # vectorized paths (PR 8).

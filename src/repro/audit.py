@@ -1,11 +1,11 @@
 """Opt-in runtime invariant auditor (``REPRO_AUDIT=1``).
 
-The simulator keeps several O(1) running counters (free-DRAM bytes,
-pool occupancy, per-app non-resident page counts, residency
-verification epochs) precisely so the hot paths never recompute them.
-The flip side is that a single missed hook silently drifts the model —
-the numbers stay plausible and the goldens only catch it if the drift
-changes a reported figure.
+The simulator keeps several O(1) running records (free-DRAM bytes,
+pool occupancy, the organizers' list membership that batch replay
+probes for residency, the zpool's size-class tally) precisely so the
+hot paths never recompute them.  The flip side is that a single missed
+hook silently drifts the model — the numbers stay plausible and the
+goldens only catch it if the drift changes a reported figure.
 
 This module cross-checks the running state against from-scratch ground
 truth *while a scenario runs*.  It is wired into every kswapd wakeup
@@ -13,8 +13,8 @@ truth *while a scenario runs*.  It is wired into every kswapd wakeup
 ``REPRO_AUDIT`` environment variable is truthy, so normal runs pay one
 ``is None`` test per wakeup and nothing else.  On a mismatch it raises
 :class:`~repro.errors.InvariantViolationError` with enough context
-(which counter, which app, expected vs actual, the current eviction
-epoch) to localize the broken transition.
+(which counter, which app, expected vs actual) to localize the broken
+transition.
 
 Environment knobs:
 
@@ -30,7 +30,6 @@ can import it without a cycle.
 from __future__ import annotations
 
 import os
-from collections import Counter as TallyCounter
 
 from .errors import InvariantViolationError
 
@@ -90,7 +89,6 @@ class InvariantAuditor:
         """Run every cross-check; raises on the first violation."""
         self._audit_pool_occupancy(scheme)
         self._audit_free_dram(scheme)
-        self._audit_nonresident_counts(scheme)
         self._audit_lru_membership(scheme)
         self._audit_handle_tables(scheme)
         self._audit_zpool_classes(scheme)
@@ -108,8 +106,7 @@ class InvariantAuditor:
             raise InvariantViolationError(
                 f"DRAM used_bytes drifted: running counter {actual} != "
                 f"audit recompute {expected} "
-                f"({dram.resident_count} resident pages, "
-                f"epoch {scheme.eviction_epoch})"
+                f"({dram.resident_count} resident pages)"
             )
         if scheme.uses_zpool:
             zpool = scheme.ctx.zpool
@@ -117,8 +114,7 @@ class InvariantAuditor:
             if actual != expected:
                 raise InvariantViolationError(
                     f"zpool used_bytes drifted: running counter {actual} != "
-                    f"audit recompute {expected} "
-                    f"(epoch {scheme.eviction_epoch})"
+                    f"audit recompute {expected}"
                 )
 
     def _audit_free_dram(self, scheme) -> None:
@@ -132,59 +128,7 @@ class InvariantAuditor:
                 "free-DRAM accounting drifted: incremental counter "
                 f"{actual} != audit recompute {expected} (delta "
                 f"{actual - expected:+d} bytes, "
-                f"{scheme.accounting_updates} hook updates, "
-                f"epoch {scheme.eviction_epoch})"
-            )
-
-    def _ground_truth_nonresident(self, scheme) -> TallyCounter:
-        """Per-uid non-resident page counts rebuilt from first principles.
-
-        A page is non-resident iff it sits in a stored chunk, in the
-        staging buffer (Ariadne), or in the lost set — exactly the
-        states :attr:`SwapScheme._nonresident_pages` claims to count.
-        """
-        truth: TallyCounter = TallyCounter()
-        for chunk in scheme._chunks.values():
-            truth[chunk.uid] += chunk.page_count
-        truth.update(scheme._lost_pfns.values())
-        staging = getattr(scheme, "staging", None)
-        if staging is not None:
-            for page in staging._pages.values():
-                truth[page.uid] += 1
-        return truth
-
-    def _audit_nonresident_counts(self, scheme) -> None:
-        """Per-app non-resident counters and epoch stamps hold."""
-        truth = self._ground_truth_nonresident(scheme)
-        app_epochs = scheme._app_eviction_epoch
-        verified = scheme._resident_verified_epoch
-        for uid, claimed in scheme._nonresident_pages.items():
-            actual = truth.get(uid, 0)
-            if claimed != actual:
-                raise InvariantViolationError(
-                    f"app {uid} non-resident count drifted: counter says "
-                    f"{claimed}, ground truth (stored+staged+lost) is "
-                    f"{actual} (epoch {scheme.eviction_epoch}, app epoch "
-                    f"{app_epochs.get(uid)})"
-                )
-            stamp = app_epochs.get(uid, 0)
-            if stamp > scheme.eviction_epoch:
-                raise InvariantViolationError(
-                    f"app {uid} epoch stamp {stamp} is ahead of the global "
-                    f"eviction epoch {scheme.eviction_epoch}"
-                )
-            if verified.get(uid, -1) >= stamp and actual != 0:
-                raise InvariantViolationError(
-                    f"app {uid} is verified fully resident (verified epoch "
-                    f"{verified.get(uid)} >= app epoch {stamp}) but has "
-                    f"{actual} non-resident pages — the epoch fast path "
-                    "would silently skip their faults"
-                )
-        extra = set(truth) - set(scheme._nonresident_pages)
-        if extra:
-            raise InvariantViolationError(
-                f"apps {sorted(extra)} own non-resident pages but have no "
-                "non-resident counter entry"
+                f"{scheme.accounting_updates} hook updates)"
             )
 
     def _audit_handle_tables(self, scheme) -> None:
@@ -205,6 +149,9 @@ class InvariantAuditor:
         may appear on two lists, and together the lists must cover all
         of DRAM — a page resident but on no list can never be reclaimed
         (a leak), one on a list but not resident would be evicted twice.
+        It is also the simulator's only residency record for batch
+        replay: ``SwapScheme.access_batch`` reads list membership as
+        DRAM residency, so a drift here would silently skip faults.
         """
         resident = scheme.ctx.dram._resident
         seen: dict[int, int] = {}
@@ -331,7 +278,7 @@ class InvariantAuditor:
             raise InvariantViolationError(
                 f"zswap writeback ledger unbalanced: {in_zpool} pages in "
                 f"zpool chunks + {in_flash} in flash chunks != {stored} "
-                f"stored pages (epoch {scheme.eviction_epoch})"
+                "stored pages"
             )
         for batch_id, (first_slot, members) in batches.items():
             for position, chunk in enumerate(members):

@@ -44,13 +44,12 @@ def gather_cold_group(
     ``first`` has already been detached; the rest are pulled from the
     same app's cold list in LRU order (allocation order for untouched
     pages), which keeps a chunk's pages adjacent — the layout PreDecomp's
-    next-sector prediction and the paper's Insight 3 rely on.  Detaching
-    goes through the scheme so the eviction-epoch layer sees every page
-    that leaves DRAM; one walk pops the whole group, and the batched
-    detach leaves the epoch/stamp state exactly where a per-page walk
-    would (see ``SwapScheme._detach_pages``).
+    next-sector prediction and the paper's Insight 3 rely on.  One walk
+    pops the whole group and one DRAM call detaches it: nothing probes
+    residency between the individual pops, so the summed DRAM delta is
+    indistinguishable from a per-page walk.
     """
     rest = organizer.cold.pop_lru_run(group_pages - 1)
     organizer.list_operations += len(rest)
-    scheme._detach_pages(rest)
+    scheme.ctx.dram.remove_pages(rest)
     return [first, *rest]

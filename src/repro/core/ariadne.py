@@ -26,7 +26,7 @@ from ..mem.organizer import (
     HotWarmColdOrganizer,
 )
 from ..mem.page import Hotness, Page, PageLocation
-from ..metrics import APP, KSWAPD, PREDECOMP, AccessBatchSummary, LatencyBreakdown
+from ..metrics import KSWAPD, PREDECOMP, LatencyBreakdown
 from ..units import PAGE_SIZE
 from .adaptive import chunk_size_for, gather_cold_group
 from .config import AriadneConfig
@@ -122,7 +122,7 @@ class AriadneScheme(SwapScheme):
                     continue
                 organizer.list_operations += 1
                 page = lru.pop_lru()
-                self._detach_page(page)
+                self.ctx.dram.remove_page(page)
                 self._victim_levels[page.pfn] = level
                 return page
         return None
@@ -139,7 +139,7 @@ class AriadneScheme(SwapScheme):
         else:
             level = Hotness.COLD
         page = organizer.pop_victim()
-        self._detach_page(page)
+        self.ctx.dram.remove_page(page)
         self._victim_levels[page.pfn] = level
         return page
 
@@ -213,9 +213,9 @@ class AriadneScheme(SwapScheme):
         """Kill teardown: drop ``uid``'s pre-decompressed staged pages.
 
         Staged pages are non-resident (they sit in the reserved buffer),
-        so moving them to :attr:`_lost_pfns` keeps the per-app
-        non-resident ground truth balanced.  They bypass ``claim()`` so
-        the buffer's hit/miss statistics stay honest.
+        so they join :attr:`_lost_pfns` like the rest of the killed app's
+        data: the next access is a cold refault.  They bypass ``claim()``
+        so the buffer's hit/miss statistics stay honest.
         """
         purged = 0
         for pfn, page in list(self.staging._pages.items()):
@@ -223,7 +223,7 @@ class AriadneScheme(SwapScheme):
                 continue
             del self.staging._pages[pfn]
             self._staged_levels.pop(pfn, None)
-            self._lost_pfns[pfn] = uid
+            self._lost_pfns.add(pfn)
             purged += 1
         return purged
 
@@ -273,10 +273,6 @@ class AriadneScheme(SwapScheme):
             page.location = PageLocation.FLASH
         submit_ns = self.ctx.platform.swap_submit_ns * self.ctx.platform.scale
         self._charge(thread, "writeback", submit_ns)
-        # Writeback moves a chunk zpool -> flash without touching DRAM
-        # residency; the owner's epoch still advances (conservative,
-        # per the epoch contract) — it only costs a re-verification.
-        self._bump_app_epoch(target.uid)
         self.ctx.counters.incr("chunks_written_back")
         self.ctx.counters.incr("pages_written_back", target.page_count)
         return True
@@ -330,7 +326,6 @@ class AriadneScheme(SwapScheme):
             for page in chunk.pages:
                 self._make_room(1, direct=False, thread=KSWAPD)
                 self.ctx.dram.add_page(page)
-                self._note_pages_resident(page.uid, 1)
                 organizer.add_page_as(page, Hotness.HOT)
         # Hot pages parked in the staging buffer also come home.
         for pfn, (level, _hint) in list(self._staged_levels.items()):
@@ -344,24 +339,9 @@ class AriadneScheme(SwapScheme):
             self._staged_levels.pop(pfn, None)
             self._make_room(1, direct=False, thread=KSWAPD)
             self.ctx.dram.add_page(staged)
-            self._note_pages_resident(staged.uid, 1)
             organizer.add_page_as(staged, Hotness.HOT)
 
     # ------------------------------------------------------------------ faults
-
-    def access_batch(
-        self, pages: list[Page], thread: str = APP
-    ) -> AccessBatchSummary:
-        """Batched replay: the resident-run/fault split stays exact under
-        PreDecomp because staged pages are *not* DRAM-resident — they sit
-        in the reserved buffer until claimed — so a staging hit always
-        takes the fall-back :meth:`access` path, and any pages it stages
-        or materializes are seen by the re-probe of the rest of the
-        batch.  The same fact keeps the epoch layer exact: an app with
-        staged pages has a non-zero non-resident count and can never be
-        verified fully resident, so the probe-free path cannot swallow a
-        staging hit."""
-        return self._access_batch_runs(pages, thread)
 
     def _staging_hit(self, page: Page) -> AccessResult | None:
         staged = self.staging.claim(page.pfn)
@@ -374,10 +354,9 @@ class AriadneScheme(SwapScheme):
         # but not a decompression, which already happened off-path.
         stall = self._make_room(1, direct=True, thread=KSWAPD)
         self.ctx.dram.add_page(staged)
-        self._note_pages_resident(page.uid, 1)
         organizer = self.organizer(page.uid)
         organizer.add_page(staged)
-        organizer.on_access(staged, self.ctx.clock.now_ns)
+        organizer.on_access(staged)
         hit_ns = platform.staging_hit_ns * platform.scale
         self._charge(KSWAPD, "staging_hit", hit_ns)
         stall += self._stall(hit_ns)

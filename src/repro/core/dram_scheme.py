@@ -68,28 +68,24 @@ class DramScheme(SwapScheme):
             organizer.add_page(page)
 
     def access_batch(
-        self, pages: list[Page], thread: str = APP
+        self, pages: AccessRun, thread: str = APP
     ) -> AccessBatchSummary:
         """Batched replay without residency probes: this scheme never
-        evicts or loses anonymous pages, so every page of a valid replay
-        is resident and the whole batch is one hit run — the degenerate
-        case of the eviction-epoch fast path, where every app stays
-        verified forever (the epoch never moves).  (A page that somehow
+        evicts anonymous pages, so every page of a replay is resident
+        and the whole batch is one hit run — the probing loop of
+        :meth:`SwapScheme.access_batch` would only confirm that, at a
+        measurable cost on DRAM's long scenarios.  (A page that somehow
         is not resident still raises :class:`PageStateError`, from the
-        organizer instead of the access dispatcher.)  Page lists other
-        than a memoized :class:`AccessRun` take the per-page default."""
-        if type(pages) is not AccessRun:
-            return super().access_batch(pages, thread)
+        organizer instead of the access dispatcher.)"""
         n = len(pages)
         if n:
             # No hits, no charge: a zero-ns charge would still create a
             # ledger key the per-page reference never creates.
             ctx = self.ctx
-            self._organizers[pages.uid].on_access_run(pages, ctx.clock.now_ns)
+            self._organizers[pages.uid].on_access_run(pages)
             ctx.cpu.charge(thread, "list_ops", ctx.platform.list_op_ns * n)
         summary = AccessBatchSummary()
         summary.add_hits(n)
-        self.epoch_skips += 1
         return summary
 
     def background_reclaim(self) -> None:

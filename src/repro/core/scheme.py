@@ -98,34 +98,6 @@ class SwapScheme(ABC):
         #: occupancy hooks fired.
         self.watermark_probes = 0
         self.accounting_updates = 0
-        #: Eviction epoch: a monotone counter bumped whenever residency
-        #: can shrink (a page leaves DRAM) and, conservatively, on
-        #: writeback and purge.  Verification stamps (per app and per
-        #: memoized replay run) are compared against the *owning app's*
-        #: last bump, so one app's reclaim traffic does not invalidate
-        #: another app's verified-resident state — see
-        #: :meth:`_access_batch_runs`.
-        self.eviction_epoch = 0
-        #: Per app: the epoch stamped at its last residency-affecting
-        #: event (a page of this app left DRAM; a chunk of this app was
-        #: purged or written back).  A verification stamp at least this
-        #: new is still valid: epochs only advance at those events, so
-        #: nothing of this app's left DRAM since the verification.
-        self._app_eviction_epoch: dict[int, int] = {}
-        #: Per app: the epoch at which the app was last *verified* fully
-        #: resident (every one of its pages in DRAM).
-        self._resident_verified_epoch: dict[int, int] = {}
-        #: Per app: how many of its pages are currently *not* resident
-        #: (stored + staged + lost).  Maintained exactly at every
-        #: residency transition; reaching zero re-verifies the app at
-        #: the current epoch.  ``tests/test_invariants.py`` holds it
-        #: against a ground-truth recompute under randomized sequences.
-        self._nonresident_pages: dict[int, int] = {}
-        #: Batch-replay observability (profiling, not simulation state):
-        #: batches served entirely by the epoch fast path, and per-page
-        #: residency probes the run-splitting fallback performed.
-        self.epoch_skips = 0
-        self.residency_probes = 0
         self._organizers: dict[int, DataOrganizer] = {}
         #: Recency order over apps: first key is least recently used.
         self._app_lru: OrderedDict[int, None] = OrderedDict()
@@ -134,10 +106,9 @@ class SwapScheme(ABC):
         self._by_zpool_handle: dict[int, StoredChunk] = {}
         self._chunk_seq = 0
         self._foreground_uid: int | None = None
-        #: Lost (dropped) pages: pfn -> owning uid.  The uid lets the
-        #: runtime auditor recompute per-app non-resident ground truth
-        #: without a trace; membership tests read like the old set.
-        self._lost_pfns: dict[int, int] = {}
+        #: Pfns of lost (dropped) pages: their next access is a cold
+        #: refault (:meth:`_access_lost`).
+        self._lost_pfns: set[int] = set()
         #: Opt-in runtime invariant auditor (``REPRO_AUDIT=1``); ``None``
         #: in normal runs, so the only steady-state cost is one ``is
         #: None`` test per kswapd wakeup.
@@ -169,13 +140,6 @@ class SwapScheme(ABC):
             raise PageStateError(f"app {uid} already registered")
         self._organizers[uid] = self._make_organizer(uid, hot_seed_limit)
         self._app_lru[uid] = None
-        # A freshly registered app owns no pages, so it is (vacuously)
-        # fully resident at the current epoch; new allocations are born
-        # resident and keep the verification valid until one of *its*
-        # pages leaves DRAM and stamps a newer per-app epoch.
-        self._nonresident_pages[uid] = 0
-        self._app_eviction_epoch[uid] = 0
-        self._resident_verified_epoch[uid] = self.eviction_epoch
 
     def organizer(self, uid: int) -> DataOrganizer:
         """The per-app organizer (raises for unknown apps)."""
@@ -212,61 +176,6 @@ class SwapScheme(ABC):
         if self.uses_zpool:
             used += self.ctx.zpool.audit_used_bytes()
         return self.ctx.platform.dram_bytes - used
-
-    # ------------------------------------------------------- residency epochs
-
-    def _detach_page(self, page: Page) -> None:
-        """Take ``page`` out of DRAM and advance the eviction epoch.
-
-        Every path on which a resident page leaves DRAM funnels through
-        here so the epoch layer can never miss a residency loss: the
-        owner's per-app stamp moves past every verification made so
-        far, and its non-resident count grows so the app can only
-        re-verify once every page is back.
-        """
-        self.ctx.dram.remove_page(page)
-        self._nonresident_pages[page.uid] += 1
-        self.eviction_epoch += 1
-        self._app_eviction_epoch[page.uid] = self.eviction_epoch
-
-    def _detach_pages(self, pages: list[Page]) -> None:
-        """Batched :meth:`_detach_page`: same final state, one DRAM call.
-
-        The epoch/stamp bookkeeping still runs per page (each uid's
-        stamp lands on the epoch of its last detached page, exactly as
-        the per-page walk leaves it); nothing probes residency between
-        the individual detaches, so the single summed DRAM delta is
-        unobservable.
-        """
-        if not pages:
-            return
-        self.ctx.dram.remove_pages(pages)
-        nonresident = self._nonresident_pages
-        app_epoch = self._app_eviction_epoch
-        epoch = self.eviction_epoch
-        for page in pages:
-            uid = page.uid
-            nonresident[uid] += 1
-            epoch += 1
-            app_epoch[uid] = epoch
-        self.eviction_epoch = epoch
-
-    def _bump_app_epoch(self, uid: int) -> None:
-        """Conservatively invalidate ``uid``'s verifications (writeback,
-        purge: no residency changed, but the epoch contract treats every
-        residency-adjacent event as an invalidation — it only costs one
-        cheap re-verification)."""
-        self.eviction_epoch += 1
-        self._app_eviction_epoch[uid] = self.eviction_epoch
-
-    def _note_pages_resident(self, uid: int, count: int) -> None:
-        """Record that ``count`` previously non-resident pages of ``uid``
-        became resident again; at zero outstanding the app is fully
-        resident and re-verifies at the current epoch."""
-        remaining = self._nonresident_pages[uid] - count
-        self._nonresident_pages[uid] = remaining
-        if remaining == 0:
-            self._resident_verified_epoch[uid] = self.eviction_epoch
 
     def _charge(self, thread: str, activity: str, ns: int) -> None:
         self.ctx.cpu.charge(thread, activity, ns)
@@ -361,7 +270,7 @@ class SwapScheme(ABC):
         """
         ctx = self.ctx
         if page.pfn in ctx.dram._resident:
-            self._organizers[page.uid].on_access(page, ctx.clock.now_ns)
+            self._organizers[page.uid].on_access(page)
             ctx.cpu.charge(thread, "list_ops", ctx.platform.list_op_ns)
             return _DRAM_HIT
         staged = self._staging_hit(page)
@@ -386,121 +295,48 @@ class SwapScheme(ABC):
             return self._access_lost(page, thread)
 
     def access_batch(
-        self, pages: list[Page], thread: str = APP
+        self, pages: AccessRun, thread: str = APP
     ) -> AccessBatchSummary:
-        """Touch a known sequence of pages; returns the aggregate summary.
+        """Touch a memoized single-app page run; returns the aggregate
+        summary.
 
-        This default replays the batch one :meth:`access` at a time and
-        is correct by construction for any scheme and any page list.
-        Concrete schemes override it with :meth:`_access_batch_runs` (or
-        a tighter specialization), which must leave *identical*
-        simulator state and aggregate numbers —
-        ``tests/test_access_batch.py`` holds the two paths against each
-        other.
-        """
-        summary = AccessBatchSummary()
-        add = summary.add_result
-        access = self.access
-        for page in pages:
-            add(access(page, thread))
-        return summary
-
-    def _access_batch_runs(
-        self, pages: list[Page], thread: str = APP
-    ) -> AccessBatchSummary:
-        """Fast batch path for a memoized single-app :class:`AccessRun`:
-        epoch-verified runs and apps skip residency probes entirely;
-        otherwise coalesce resident runs, fault singly.  Any other page
-        list takes the per-page :meth:`access_batch` default.
-
-        The epoch layer comes first: a run whose previous replay left
-        every page resident, or an app verified fully resident, at an
-        epoch no older than the app's last eviction stamp cannot fault —
-        epochs advance whenever a page of the app leaves DRAM — so the
-        batch (or its remainder) is serviced as one resident run with
-        zero per-page membership probes.  Equivalence is by
-        construction: the probes the fallback would have made were all
-        guaranteed hits, and hits never change residency.  The moment
-        one of the app's pages is evicted mid-batch (a fault's direct
-        reclaim), its stamp moves and the verification check fails for
-        the rest of the batch, forcing re-probe.
-
-        Unverified stretches take the exact probing path.  Residency is
-        probed against the organizer's ``list_id`` column — equivalent
-        to the DRAM probe, since the lists cover exactly the app's
-        resident pages (the ``_audit_lru_membership`` invariant) — and
-        a run of resident pages is serviced with one shared zero-stall
-        outcome (count bumps on the summary), one handle-array touch,
-        and one CPU charge: exactly the sums the per-page loop produces,
+        Leaves exactly the simulator state and aggregate numbers a
+        one-:meth:`access`-per-page loop leaves —
+        ``tests/test_access_batch.py`` holds the two against each other,
+        with that loop as the oracle in ``tests/reference_organizers.py``.
+        Residency is probed against the organizer's ``list_id`` column,
+        equivalent to the DRAM probe since the lists cover exactly the
+        app's resident pages (the ``_audit_lru_membership`` invariant).
+        A run of resident pages is serviced with one shared zero-stall
+        outcome (count bumps on the summary), one handle-array touch and
+        one CPU charge: exactly the sums the per-page loop produces,
         since hits never change residency, the clock is frozen across a
-        replay, and CPU/list accounting is additive.  Every
-        non-resident page falls back to the exact per-page
-        :meth:`access`, because a fault may change the residency of
-        *later* batch pages (chunk siblings materialize, staging fills,
-        reclaim can evict) — so residency is re-probed from the faulted
-        page onward.
+        replay, and CPU/list accounting is additive.  Every non-resident
+        page takes the exact per-page :meth:`access` — staged pages too:
+        they sit outside DRAM and every list until claimed — because a
+        fault may change the residency of *later* batch pages (chunk
+        siblings materialize, staging fills, reclaim can evict), so
+        residency is re-probed from the faulted page onward.
         """
-        if type(pages) is not AccessRun:
-            return SwapScheme.access_batch(self, pages, thread)
         summary = AccessBatchSummary()
         n = len(pages)
         if n == 0:
             return summary
-        ctx = self.ctx
-        charge = ctx.cpu.charge
-        list_op_ns = ctx.platform.list_op_ns
-        uid = pages.uid
-        app_epochs = self._app_eviction_epoch
-        app_stamp = app_epochs[uid]
-        organizer = self._organizers[uid]
-        if pages.verified_epoch >= app_stamp:
-            # Run-level fast path: the previous replay of this very run
-            # ended with every page resident, and no page of this app
-            # has left DRAM since — so the whole batch is one hit run.
-            organizer.on_access_run(pages, ctx.clock.now_ns)
-            charge(thread, "list_ops", list_op_ns * n)
-            summary.add_hits(n)
-            self.epoch_skips += 1
-            return summary
-        verified = self._resident_verified_epoch
+        charge = self.ctx.cpu.charge
+        list_op_ns = self.ctx.platform.list_op_ns
+        organizer = self._organizers[pages.uid]
         handles = organizer.run_handles(pages)
         i = 0
         while i < n:
-            if verified[uid] >= app_epochs[uid]:
-                # App-level fast path: the app was verified fully
-                # resident (non-resident count zero) and none of its
-                # pages left DRAM since, so the rest cannot miss.
-                organizer._on_access_handles(
-                    handles[i:] if i else handles, ctx.clock.now_ns
-                )
-                charge(thread, "list_ops", list_op_ns * (n - i))
-                summary.add_hits(n - i)
-                self.epoch_skips += 1
-                break
             k = organizer.leading_resident(handles, i)
             if k:
-                # Probes: one per page of the run, plus the failing
-                # probe that terminated it (re-probed by the dispatch
-                # above when the loop resumes there).
-                self.residency_probes += k + (1 if i + k < n else 0)
-                organizer._on_access_handles(
-                    handles[i:i + k], ctx.clock.now_ns
-                )
+                organizer._on_access_handles(handles[i:i + k])
                 charge(thread, "list_ops", list_op_ns * k)
                 summary.add_hits(k)
                 i += k
             else:
-                self.residency_probes += 1
                 summary.add_result(self.access(pages[i], thread))
                 i += 1
-        if app_epochs[uid] == app_stamp:
-            # Every page of the run was (made) resident when touched,
-            # and no page of this app left DRAM at any point during the
-            # batch — so all of them are resident *now*: stamp the run
-            # verified for its next replay.  A mid-batch same-app
-            # eviction (a fault's direct reclaim reaching into this
-            # app) moved the app stamp and leaves the run unverified.
-            pages.verified_epoch = self.eviction_epoch
         return summary
 
     def _staging_hit(self, page: Page) -> AccessResult | None:
@@ -522,12 +358,11 @@ class SwapScheme(ABC):
         fault_ns = platform.fault_overhead_ns * platform.scale
         self._charge(thread, "fault", fault_ns // 4)
         stall += self._stall(fault_ns)
-        self._lost_pfns.pop(page.pfn, None)
+        self._lost_pfns.discard(page.pfn)
         self.ctx.dram.add_page(page)
-        self._note_pages_resident(page.uid, 1)
         organizer = self.organizer(page.uid)
         organizer.add_page(page)
-        organizer.on_access(page, self.ctx.clock.now_ns)
+        organizer.on_access(page)
         breakdown = LatencyBreakdown(other_ns=stall)
         return AccessResult(stall_ns=stall, source=PageLocation.DRAM,
                             breakdown=breakdown)
@@ -619,7 +454,7 @@ class SwapScheme(ABC):
     def _pop_victim_from(self, organizer: DataOrganizer) -> Page:
         """Detach the next victim from one organizer (and from DRAM)."""
         page = organizer.pop_victim()
-        self._detach_page(page)
+        self.ctx.dram.remove_page(page)
         return page
 
     def force_compress_app(self, uid: int, exclude_hot: bool = False) -> None:
@@ -749,8 +584,7 @@ class SwapScheme(ABC):
             # than raise mid-eviction.
             self._pressure.note_refusal(len(pages))
             for page in pages:
-                self._lost_pfns[page.pfn] = page.uid
-            self._bump_app_epoch(pages[0].uid)
+                self._lost_pfns.add(page.pfn)
             ctx.counters.incr("pressure_admission_refusals")
             ctx.counters.incr("pressure_pages_refused", len(pages))
             ctx.counters.incr("pages_lost", len(pages))
@@ -813,11 +647,7 @@ class SwapScheme(ABC):
                 self.ctx.zpool.free(chunk.zpool_handle)
                 self._unregister_chunk(chunk)
                 for page in chunk.pages:
-                    self._lost_pfns[page.pfn] = page.uid
-                # Purge conservatively advances the owner's epoch (the
-                # pages were already non-resident, but a dropped chunk
-                # is a residency-adjacent event the fast path respects).
-                self._bump_app_epoch(chunk.uid)
+                    self._lost_pfns.add(page.pfn)
                 self.ctx.counters.incr("chunks_dropped")
                 self.ctx.counters.incr("pages_lost", chunk.page_count)
                 return True
@@ -845,12 +675,11 @@ class SwapScheme(ABC):
     def terminate_app(self, uid: int) -> int:
         """Low-memory kill: tear down every trace of ``uid``'s data.
 
-        Resident pages leave DRAM through :meth:`_detach_page` (the
-        epoch layer can never miss a residency loss), stored chunks
-        release their zpool handle or swap slot, staged pages are
-        purged, and everything joins :attr:`_lost_pfns` — the same
-        bookkeeping contract as :meth:`_drop_oldest_chunk`, so the
-        runtime auditor's ground truth stays balanced.  The app stays
+        Resident pages leave their organizer lists and DRAM together
+        (batch replay reads list membership as residency), stored chunks
+        release their zpool handle or swap slot, staged pages are purged,
+        and everything joins :attr:`_lost_pfns` — the same bookkeeping
+        contract as :meth:`_drop_oldest_chunk`.  The app stays
         registered: a later relaunch is a cold launch of the same uid,
         charged ``process_create_ns`` by the system layer.  Returns the
         number of pages freed.
@@ -860,8 +689,8 @@ class SwapScheme(ABC):
         pages_freed = 0
         while organizer.has_victims():
             page = organizer.pop_victim()
-            self._detach_page(page)
-            self._lost_pfns[page.pfn] = uid
+            ctx.dram.remove_page(page)
+            self._lost_pfns.add(page.pfn)
             pages_freed += 1
         pages_freed += self._purge_staged(uid)
         for chunk in [c for c in self._chunks.values() if c.uid == uid]:
@@ -871,9 +700,8 @@ class SwapScheme(ABC):
                 ctx.zpool.free(chunk.zpool_handle)
             self._unregister_chunk(chunk)
             for page in chunk.pages:
-                self._lost_pfns[page.pfn] = uid
+                self._lost_pfns.add(page.pfn)
             pages_freed += chunk.page_count
-        self._bump_app_epoch(uid)
         ctx.counters.incr("lmk_kills")
         ctx.counters.incr("lmk_pages_killed", pages_freed)
         ctx.counters.incr("pages_lost", pages_freed)
@@ -890,7 +718,7 @@ class SwapScheme(ABC):
         retry wait the caller adds to the stall.  Transient errors are
         retried up to the plan's budget with doubling backoff (charged
         as CPU too); a permanent error or an exhausted budget drops the
-        chunk (pages lost, epoch bumped) and raises
+        chunk (pages lost) and raises
         :class:`ChunkLostError`, which the access dispatcher turns into
         a counted cold refault.  Without a fault plan this is exactly
         one ``flash_swap.load``.
@@ -992,10 +820,9 @@ class SwapScheme(ABC):
         """Degrade: release an unreadable chunk and mark its pages lost.
 
         The backing storage is freed (the data is gone either way; the
-        accounting must not leak), the pages join :attr:`_lost_pfns` so
-        the next access cold-refaults them, and the owner's eviction
-        epoch advances — exactly the bookkeeping contract of
-        :meth:`_drop_oldest_chunk`, plus the ``fault_*`` recovery
+        accounting must not leak) and the pages join :attr:`_lost_pfns`
+        so the next access cold-refaults them — exactly the bookkeeping
+        contract of :meth:`_drop_oldest_chunk`, plus the ``fault_*`` recovery
         counters (``reason`` is ``"flash_io"`` or ``"corrupt"``).
         """
         ctx = self.ctx
@@ -1005,8 +832,7 @@ class SwapScheme(ABC):
             ctx.zpool.free(chunk.zpool_handle)
         self._unregister_chunk(chunk)
         for page in chunk.pages:
-            self._lost_pfns[page.pfn] = page.uid
-        self._bump_app_epoch(chunk.uid)
+            self._lost_pfns.add(page.pfn)
         counters = ctx.counters
         counters.incr("fault_chunks_dropped")
         counters.incr(f"fault_dropped_{reason}")
@@ -1082,8 +908,7 @@ class SwapScheme(ABC):
         admitted = list(chunk.pages)
         self.ctx.dram.add_pages(admitted)
         organizer.add_page_run(admitted)
-        self._note_pages_resident(chunk.uid, chunk.page_count)
-        organizer.on_access(faulted, self.ctx.clock.now_ns)
+        organizer.on_access(faulted)
         self.ctx.counters.incr("pages_swapped_in", chunk.page_count)
         if self._pressure is not None:
             self._pressure.note_refault(chunk.page_count)

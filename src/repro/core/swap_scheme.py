@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import FlashFullError
 from ..mem.organizer import ActiveInactiveOrganizer, DataOrganizer
 from ..mem.page import Hotness, Page, PageLocation
-from ..metrics import APP, AccessBatchSummary, LatencyBreakdown
+from ..metrics import LatencyBreakdown
 from ..units import PAGE_SIZE
 from .context import SchemeContext
 from .scheme import AccessResult, SwapScheme
@@ -30,16 +30,6 @@ class FlashSwapScheme(SwapScheme):
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
         return ActiveInactiveOrganizer(uid)
 
-    def access_batch(
-        self, pages: list[Page], thread: str = APP
-    ) -> AccessBatchSummary:
-        """Batched replay: every flash fault goes through the exact
-        per-page path (a swap-in admits only the faulted page, but its
-        direct reclaim can evict later batch pages — which bumps the
-        eviction epoch, keeping the probe-free path honest), so the
-        generic epoch-gated split applies unchanged."""
-        return self._access_batch_runs(pages, thread)
-
     def _evict(self, page: Page, thread: str) -> int:
         """Write one raw page to swap.
 
@@ -55,14 +45,14 @@ class FlashSwapScheme(SwapScheme):
             )
         except FlashFullError:
             ctx.counters.incr("swap_area_full")
-            self._lost_pfns[page.pfn] = page.uid
+            self._lost_pfns.add(page.pfn)
             ctx.counters.incr("pages_lost")
             return 0
         if stored is None:
             # Unrecoverable injected write fault: the page cannot reach
             # swap, so it degrades to lost (the next access pays a cold
             # refault) instead of aborting reclaim.
-            self._lost_pfns[page.pfn] = page.uid
+            self._lost_pfns.add(page.pfn)
             ctx.counters.incr("pages_lost")
             return 0
         slot, _write_ns, backoff_ns = stored

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..mem.organizer import ActiveInactiveOrganizer, DataOrganizer
 from ..mem.page import Hotness, Page, PageLocation
-from ..metrics import APP, AccessBatchSummary
 from ..units import PAGE_SIZE
 from .context import SchemeContext
 from .scheme import AccessResult, SwapScheme
@@ -32,13 +31,6 @@ class ZramScheme(SwapScheme):
 
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
         return ActiveInactiveOrganizer(uid)
-
-    def access_batch(
-        self, pages: list[Page], thread: str = APP
-    ) -> AccessBatchSummary:
-        """Batched replay: zram has no staging buffer, so the generic
-        epoch-gated resident-run/fault split is exact as-is."""
-        return self._access_batch_runs(pages, thread)
 
     def _evict(self, page: Page, thread: str) -> int:
         """Compress one LRU victim into the zpool as a 4 KB chunk."""

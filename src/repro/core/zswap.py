@@ -37,7 +37,7 @@ from __future__ import annotations
 from ..errors import FlashFullError, PermanentFlashError, TransientFlashError
 from ..mem.organizer import ActiveInactiveOrganizer, DataOrganizer
 from ..mem.page import Hotness, Page, PageLocation
-from ..metrics import APP, KSWAPD, ZSWAPD, AccessBatchSummary, LatencyBreakdown
+from ..metrics import KSWAPD, ZSWAPD, LatencyBreakdown
 from ..units import PAGE_SIZE
 from .config import ZswapConfig
 from .context import SchemeContext
@@ -72,18 +72,6 @@ class ZswapScheme(SwapScheme):
 
     def _make_organizer(self, uid: int, hot_seed_limit: int) -> DataOrganizer:
         return ActiveInactiveOrganizer(uid)
-
-    def access_batch(
-        self, pages: list[Page], thread: str = APP
-    ) -> AccessBatchSummary:
-        """Batched replay: the generic epoch-gated path stays exact.
-
-        Staged (readahead) pages are non-resident, so an app with any
-        staged page can never be epoch-verified fully resident — its
-        batches take the probing path, where :meth:`_staging_hit` runs
-        per page exactly as the reference ``access()`` loop would.
-        """
-        return self._access_batch_runs(pages, thread)
 
     # ------------------------------------------------------------- eviction
 
@@ -161,7 +149,6 @@ class ZswapScheme(SwapScheme):
         self._next_device = (device_index + 1) % len(ctx.flash_swap.devices)
         batch_id = self._next_batch
         self._next_batch += 1
-        uids = set()
         for chunk, slot in zip(victims, slots):
             ctx.zpool.free(chunk.zpool_handle)
             self._by_zpool_handle.pop(chunk.zpool_handle, None)
@@ -172,14 +159,11 @@ class ZswapScheme(SwapScheme):
             for page in chunk.pages:
                 page.location = PageLocation.FLASH
             self._batch_of[chunk.chunk_id] = batch_id
-            uids.add(chunk.uid)
         self._batches[batch_id] = (slots[0].slot_id, list(victims))
         # One submission per batch: amortizing the submit cost is the
         # point of SWAP_CLUSTER_MAX (smaller clusters pay it oftener).
         submit_ns = ctx.platform.swap_submit_ns * ctx.platform.scale
         self._charge(thread, "writeback", submit_ns)
-        for uid in sorted(uids):
-            self._bump_app_epoch(uid)
         counts = ctx.counters.mutable()
         counts["chunks_written_back"] += len(victims)
         counts["pages_written_back"] += sum(c.page_count for c in victims)
@@ -345,10 +329,9 @@ class ZswapScheme(SwapScheme):
         # decompression already happened off-path (the readahead win).
         stall = self._make_room(1, direct=True, thread=KSWAPD)
         self.ctx.dram.add_page(staged)
-        self._note_pages_resident(page.uid, 1)
         organizer = self.organizer(page.uid)
         organizer.add_page(staged)
-        organizer.on_access(staged, self.ctx.clock.now_ns)
+        organizer.on_access(staged)
         hit_ns = platform.staging_hit_ns * platform.scale
         self._charge(KSWAPD, "staging_hit", hit_ns)
         stall += self._stall(hit_ns)
@@ -378,9 +361,9 @@ class ZswapScheme(SwapScheme):
     def _purge_staged(self, uid: int) -> int:
         """Kill teardown: drop ``uid``'s staged readahead pages.
 
-        Staged pages are non-resident, so moving them to
-        :attr:`_lost_pfns` keeps the per-app non-resident ground truth
-        balanced; they bypass ``claim()`` so the buffer's hit/miss
+        Staged pages are non-resident, so they join :attr:`_lost_pfns`
+        like the rest of the killed app's data (the next access is a
+        cold refault); they bypass ``claim()`` so the buffer's hit/miss
         statistics stay honest.
         """
         purged = 0
@@ -388,7 +371,7 @@ class ZswapScheme(SwapScheme):
             if page.uid != uid:
                 continue
             del self.staging._pages[pfn]
-            self._lost_pfns[pfn] = uid
+            self._lost_pfns.add(pfn)
             purged += 1
         return purged
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import atexit
 from functools import lru_cache
 
+from ..audit import audit_enabled
 from ..cache import (
     ArtifactCache,
     ExperimentResultCache,
@@ -63,6 +64,21 @@ def result_cache() -> ExperimentResultCache | None:
         return ExperimentResultCache(cache.root)
     except OSError:
         return None
+
+
+def result_cache_for(spec) -> ExperimentResultCache | None:
+    """The result cache a run of ``spec`` may read and write, if any.
+
+    ``None`` for live-timing specs (``cacheable=False``: serving them
+    from disk would present another machine's, or another day's, wall
+    clock as a measurement) and while the invariant auditor is on
+    (``REPRO_AUDIT``): a checking run served from results that were
+    never checked audits nothing.  The environment is read on every
+    call, outside the :func:`result_cache` memo.
+    """
+    if not spec.cacheable or audit_enabled():
+        return None
+    return result_cache()
 
 
 def _make_shared_sizes() -> SizeCache:

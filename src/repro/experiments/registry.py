@@ -303,14 +303,15 @@ def run_cached(experiment_id: str, quick: bool = False) -> ExperimentResult:
     a suite run at ``--jobs 4`` warms the cells a later benchmark
     assembles with a serial merge, and vice versa (``run()`` *is* the
     serial merge of the cells, so the assembled result is identical by
-    construction).  Uncacheable specs always re-measure.  Newly
+    construction).  Uncacheable specs, and every spec while the
+    invariant auditor is on, always re-measure.  Newly
     measured compressed sizes are flushed so a cold run seeds the
     artifact cache the next one reads.
     """
-    from .common import flush_artifacts, result_cache
+    from .common import flush_artifacts, result_cache_for
 
     spec = experiment(experiment_id)
-    cache = result_cache() if spec.cacheable else None
+    cache = result_cache_for(spec)
     if cache is None:
         return spec.run(quick=quick)
     args = {"quick": quick}

@@ -15,7 +15,8 @@ experiment) is memoized in the
 :class:`repro.cache.ExperimentResultCache` keyed by a source-tree
 fingerprint, so an unchanged task on a re-run is a single disk read
 instead of a simulation.  Specs flagged ``cacheable = False`` (live
-wall-clock measurements) always re-measure.
+wall-clock measurements) always re-measure, and so does every task
+while the invariant auditor is on (``REPRO_AUDIT``).
 
 Crash safety: the runner never loses a suite to one bad cell.  A cell
 that *raises* is a structured :class:`TaskFailure` (kind
@@ -201,14 +202,11 @@ def _run_task(args: tuple[int, str, str | None, bool]):
     group_id, name, cell_key, quick = args
     # Imported here so "spawn" contexts work and the parent can fork
     # before the (heavier) experiment modules are loaded.
-    from .common import flush_artifacts, result_cache
+    from .common import flush_artifacts, result_cache_for
 
     spec = experiment(name)
     start = time.perf_counter()
-    # Live-timing experiments are hardware-truthful only when freshly
-    # measured; serving them from disk would present another machine's
-    # (or another day's) wall clock as a measurement.
-    results = result_cache() if spec.cacheable else None
+    results = result_cache_for(spec)
     run_args = {"quick": quick}
     payload: object = None
     cached = 0

@@ -4,9 +4,10 @@ Mirrors the kernel's per-zone LRU lists: most-recently-used pages sit at
 the head, reclaim pops from the tail.  :class:`IndexLruList` is a numpy
 index-linked view over one list id of an organizer's handle table
 (:class:`repro.mem.organizer.HandleTable`): membership and recency live
-in flat integer columns, and bulk ``touch_run`` / ``add_run`` become
-single fancy-indexing kernels.  The per-page ``OrderedDict`` list the
-tests compare it against lives in ``tests/reference_organizers.py``.
+in flat integer columns, and bulk ``add_run`` (and the organizers'
+run-touch kernels) become single fancy-indexing kernels.  The per-page
+``OrderedDict`` list the tests compare it against lives in
+``tests/reference_organizers.py``.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ class IndexLruList:
     pos[order[p]] == p``).  Ascending live positions therefore read
     LRU -> MRU — the property the journal-bounded ``end_relaunch``
     sort relies on.  Dead slots are reclaimed by compaction when the
-    array fills; ``pop_lru``/``peek`` skip them from the head at
-    amortized O(1).  Bulk ``add_run``/``touch_run`` are single
-    fancy-indexed appends: writing ``pos[handles] = arange(...)``
-    resolves within-run duplicates last-write-wins, which is exactly
-    the recency a touch-per-page loop leaves.
+    array fills; ``pop_lru``/``pop_lru_run`` skip them from the head at
+    amortized O(1).  Bulk appends (``add_run``, the organizers' touch
+    kernels via ``_append_run``) are single fancy-indexed writes:
+    ``pos[handles] = arange(...)`` resolves within-run duplicates
+    last-write-wins, which is exactly the recency a touch-per-page loop
+    leaves.
     """
 
     __slots__ = ("name", "_table", "_lid", "_order", "_head", "_tail", "_count")
@@ -76,20 +78,20 @@ class IndexLruList:
         )
         return seg[live]
 
-    def _reserve(self, extra: int, front: int = 0) -> None:
-        """Guarantee ``extra`` free tail slots (and ``front`` head slots),
-        compacting dead entries (and growing) when the array is full."""
-        if self._tail + extra <= self._order.shape[0] and self._head >= front:
+    def _reserve(self, extra: int) -> None:
+        """Guarantee ``extra`` free tail slots, compacting dead entries
+        (and growing) when the array is full."""
+        if self._tail + extra <= self._order.shape[0]:
             return
         live = self._live_handles()
         n = int(live.size)
-        cap = max(64, 2 * (n + extra + front))
+        cap = max(64, 2 * (n + extra))
         order = _np.zeros(cap, dtype=_np.int64)
-        order[front:front + n] = live
-        self._table.pos[live] = _np.arange(front, front + n, dtype=_np.int64)
+        order[:n] = live
+        self._table.pos[live] = _np.arange(n, dtype=_np.int64)
         self._order = order
-        self._head = front
-        self._tail = front + n
+        self._head = 0
+        self._tail = n
 
     def _append(self, h: int) -> None:
         """Append one handle at the MRU end (caller manages list_id/count)."""
@@ -133,13 +135,6 @@ class IndexLruList:
         pages = self._table.pages
         for h in self._live_handles():
             yield pages[h]
-
-    @property
-    def total_bytes(self) -> int:
-        """Sum of page sizes on this list (pages are uniformly sized)."""
-        from ..units import PAGE_SIZE
-
-        return self._count * PAGE_SIZE
 
     def add(self, page: Page) -> None:
         """Insert ``page`` at the MRU end; error if already on a list.
@@ -233,67 +228,15 @@ class IndexLruList:
         self._append_run(handles)
         self._count += n
 
-    def add_lru(self, page: Page) -> None:
-        """Insert ``page`` at the LRU end (evicted first)."""
-        table = self._table
-        h = table.ensure(page)
-        lid = table.list_id.item(h)
-        if lid == self._lid:
-            raise PageStateError(f"page {page.pfn} already on list {self.name!r}")
-        if lid != NO_LIST:
-            raise PageStateError(
-                f"page {page.pfn} still on a sibling list (id {lid}) "
-                f"of {self.name!r}; remove it first"
-            )
-        if self._head == 0:
-            self._reserve(0, front=8)
-        self._head -= 1
-        self._order[self._head] = h
-        table.pos[h] = self._head
-        table.list_id[h] = self._lid
-        self._count += 1
-
     def touch(self, page: Page) -> None:
         """Move ``page`` to the MRU end; error if absent."""
         self._append(self._check_member(page))
-
-    def touch_run(self, pfns) -> int:
-        """Move already-present pages to the MRU end, in order."""
-        index = self._table.index
-        try:
-            handles = _np.fromiter(
-                (index[pfn] for pfn in pfns), dtype=_np.int64, count=len(pfns)
-            )
-        except KeyError as exc:
-            raise PageStateError(
-                f"page {exc.args[0]} not on list {self.name!r}"
-            ) from None
-        if handles.size:
-            lids = self._table.list_id[handles]
-            if (lids != self._lid).any():
-                bad = int(handles[int(_np.argmax(lids != self._lid))])
-                raise PageStateError(
-                    f"page {self._table.pages[bad].pfn} not on list "
-                    f"{self.name!r}"
-                )
-            self._append_run(handles)
-        return len(pfns)
 
     def remove(self, page: Page) -> None:
         """Remove ``page``; error if absent."""
         h = self._check_member(page)
         self._table.list_id[h] = NO_LIST
         self._count -= 1
-
-    def discard(self, page: Page) -> bool:
-        """Remove ``page`` if present; return whether it was present."""
-        table = self._table
-        h = table.index.get(page.pfn)
-        if h is None or table.list_id.item(h) != self._lid:
-            return False
-        table.list_id[h] = NO_LIST
-        self._count -= 1
-        return True
 
     def pop_lru(self) -> Page:
         """Remove and return the least-recently-used page."""
@@ -341,42 +284,6 @@ class IndexLruList:
         self._head = head
         self._count -= len(out)
         return out
-
-    def peek_lru(self) -> Page:
-        """Return (without removing) the least-recently-used page."""
-        table = self._table
-        tail, lid = self._tail, self._lid
-        order_item = self._order.item
-        list_item, pos_item = table.list_id.item, table.pos.item
-        head = self._head
-        while head < tail:
-            h = order_item(head)
-            if list_item(h) == lid and pos_item(h) == head:
-                self._head = head  # dead prefix skipped for good
-                return table.pages[h]
-            head += 1
-        self._head = head
-        raise PageStateError(f"list {self.name!r} is empty")
-
-    def peek_mru(self) -> Page:
-        """Return (without removing) the most-recently-used page."""
-        table = self._table
-        head, lid = self._head, self._lid
-        order_item = self._order.item
-        list_item, pos_item = table.list_id.item, table.pos.item
-        p = self._tail - 1
-        while p >= head:
-            h = order_item(p)
-            if list_item(h) == lid and pos_item(h) == p:
-                self._tail = p + 1  # dead suffix skipped for good
-                return table.pages[h]
-            p -= 1
-        raise PageStateError(f"list {self.name!r} is empty")
-
-    def pages_lru_order(self) -> list[Page]:
-        """Snapshot of all pages, LRU first."""
-        pages = self._table.pages
-        return [pages[h] for h in self._live_handles()]
 
     def __repr__(self) -> str:
         return f"IndexLruList(name={self.name!r}, pages={self._count})"

@@ -57,8 +57,10 @@ HOT_ID, WARM_ID, COLD_ID = 0, 1, 2
 #: List ids of the two-list organizer.
 ACTIVE_ID, INACTIVE_ID = 0, 1
 
-#: Residency-probe block size for :meth:`DataOrganizer.leading_resident`.
-_PROBE_BLOCK = 256
+#: Residency-probe block size for :meth:`DataOrganizer.leading_resident`:
+#: large enough that most replay runs are probed in one numpy call, small
+#: enough to bound the work a fault-heavy run repeats per fault.
+_PROBE_BLOCK = 1024
 
 #: Run length below which the access kernels fall back to a per-page
 #: loop over the columns — the vectorized path's fixed setup cost
@@ -194,10 +196,10 @@ class DataOrganizer(ABC):
         """
 
     @abstractmethod
-    def on_access(self, page: Page, now_ns: int) -> None:
+    def on_access(self, page: Page) -> None:
         """Record an access to a resident page (may promote it)."""
 
-    def on_access_run(self, pages: list[Page], now_ns: int) -> None:
+    def on_access_run(self, pages: list[Page]) -> None:
         """Record an in-order run of accesses to resident pages.
 
         Semantically identical to calling :meth:`on_access` once per
@@ -205,10 +207,10 @@ class DataOrganizer(ABC):
         count — but one vectorized kernel over the run's handle array,
         which is what makes batched access replay cheap.
         """
-        self._on_access_handles(self.run_handles(pages), now_ns)
+        self._on_access_handles(self.run_handles(pages))
 
     @abstractmethod
-    def _on_access_handles(self, handles, now_ns: int) -> None:
+    def _on_access_handles(self, handles) -> None:
         """:meth:`on_access_run` over a resident handle array."""
 
     @abstractmethod
@@ -230,10 +232,6 @@ class DataOrganizer(ABC):
     @abstractmethod
     def resident_count(self) -> int:
         """Number of resident pages."""
-
-    def resident_bytes(self) -> int:
-        """Total bytes of resident pages."""
-        return sum(page.size for page in self.resident_pages())
 
     def remove_page(self, page: Page) -> None:
         """Drop a page from all lists (it is being reclaimed).
@@ -301,7 +299,8 @@ class DataOrganizer(ABC):
         DRAM residency at batch-replay probe points — the
         ``_audit_lru_membership`` invariant — so this replaces per-page
         ``pfn in dram._resident`` probes.  Blockwise so a fault-heavy
-        run costs O(n) total, not O(n²).
+        run re-probes at most one block per fault, not its whole
+        remainder.
         """
         list_id = self._table.list_id
         n = handles.shape[0]
@@ -320,9 +319,12 @@ class DataOrganizer(ABC):
             return k
         while i < n:
             j = min(i + _PROBE_BLOCK, n)
-            dead = _np.flatnonzero(list_id[handles[i:j]] == NO_LIST)
-            if dead.size:
-                return k + int(dead[0])
+            # NO_LIST is the smallest list id, so a block's minimum says
+            # whether any page in it is off the lists, and argmin finds
+            # the first.
+            block = list_id.take(handles[i:j])
+            if block.min() == NO_LIST:
+                return k + int(block.argmin())
             k += j - i
             i = j
         return k
@@ -420,7 +422,7 @@ class ActiveInactiveOrganizer(DataOrganizer):
         self.inactive.add_run(pages)
         self.list_operations += len(pages)
 
-    def on_access(self, page: Page, now_ns: int) -> None:
+    def on_access(self, page: Page) -> None:
         table = self._table
         h = table.index.get(page.pfn)
         lid = NO_LIST if h is None else table.list_id.item(h)
@@ -438,7 +440,7 @@ class ActiveInactiveOrganizer(DataOrganizer):
             self.active._append(h)
             self.list_operations += 1
 
-    def _on_access_handles(self, handles, now_ns: int) -> None:
+    def _on_access_handles(self, handles) -> None:
         """Vectorized access replay: every occurrence lands on the
         active list in run order (touch and promotion both move to the
         active MRU end, so one bulk append covers both); ops count one
@@ -613,7 +615,7 @@ class HotWarmColdOrganizer(DataOrganizer):
 
     # -- access kernels ------------------------------------------------------
 
-    def on_access(self, page: Page, now_ns: int) -> None:
+    def on_access(self, page: Page) -> None:
         table = self._table
         h = table.index.get(page.pfn)
         lid = NO_LIST if h is None else table.list_id.item(h)
@@ -637,7 +639,7 @@ class HotWarmColdOrganizer(DataOrganizer):
             self.hot._append(h)
             self.list_operations += 1
 
-    def _on_access_handles(self, handles, now_ns: int) -> None:
+    def _on_access_handles(self, handles) -> None:
         """Vectorized access replay over a resident handle run.
 
         Equivalent to the per-page loop: per-occurrence op counts
@@ -806,24 +808,6 @@ class HotWarmColdOrganizer(DataOrganizer):
         if level is Hotness.WARM:
             return self.warm
         return self.hot
-
-    def pop_victim_from_level(self, level: Hotness) -> Page:
-        """Remove the LRU page of one specific list.
-
-        Used by Ariadne's global eviction order (Section 4.2: cold data
-        of *all* applications first, then warm, then hot).
-        """
-        lru = self.level_list(level)
-        if not len(lru):
-            raise PageStateError(
-                f"app {self.uid} has no {level.value} pages to reclaim"
-            )
-        self.list_operations += 1
-        return lru.pop_lru()
-
-    def level_population(self, level: Hotness) -> int:
-        """Number of resident pages on one hotness list."""
-        return len(self.level_list(level))
 
     def has_victims(self) -> bool:
         return bool(len(self.cold) or len(self.warm) or len(self.hot))

@@ -254,34 +254,27 @@ EMPTY_BREAKDOWN = LatencyBreakdown()
 
 
 class AccessRun(list):
-    """A memoized single-app replay run with residency-verification state.
+    """A memoized single-app replay run: the unit of batched replay.
 
     Replay streams (relaunch/execution/warm-up page sequences) are
     immutable and replayed many times per scenario, so
     ``MobileSystem`` materializes each one once and hands the *same*
-    list object to every replay.  That stability is what makes
-    run-level epoch verification sound: ``verified_epoch`` records the
-    scheme's :attr:`~repro.core.scheme.SwapScheme.eviction_epoch` at the
-    end of a replay that left every page of this run resident.  As long
-    as no page of ``uid`` has left DRAM since (the scheme's per-app
-    eviction stamp has not passed ``verified_epoch``), every page is
-    still resident and the next replay needs zero per-page residency
-    probes.  The stamp lives on the run object itself — there is no
-    key-reuse hazard a side table would have.
+    list object to every replay
+    (:meth:`~repro.core.scheme.SwapScheme.access_batch`).  That
+    stability is what lets the run carry its organizer handle array:
+    computed on the first replay, reused by every later one.
     """
 
-    __slots__ = ("uid", "verified_epoch", "columnar_handles", "handle_cache")
+    __slots__ = ("uid", "columnar_handles", "handle_cache")
 
     def __init__(self, pages, uid: int) -> None:
         super().__init__(pages)
         self.uid = uid
-        #: Scheme epoch at the last fully-resident replay (-1 = never).
-        self.verified_epoch = -1
         #: Memoized handle array of this run in its organizer's handle
         #: table (``repro.mem.organizer.HandleTable``); None until the
-        #: first replay.  Safe for the same reason ``verified_epoch``
-        #: is: the run object is per-app per-system, and handles are
-        #: stable for the organizer's lifetime.
+        #: first replay.  Safe because the run object is per-app
+        #: per-system, and handles are stable for the organizer's
+        #: lifetime.
         self.columnar_handles = None
         #: Optional ``(host_dict, key)`` for sharing the handle array
         #: across systems built from the same immutable trace (set by

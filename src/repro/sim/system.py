@@ -74,10 +74,9 @@ class LiveApp:
         every further relaunch), and this app's :class:`Page` objects
         are fixed for the system's lifetime — so the per-page dict
         lookups are paid once per (stream, session), not per replay.
-        The memoized object is an :class:`repro.metrics.AccessRun`: the
-        scheme stamps its residency verification directly on it, which
-        is what lets a repeat replay skip every per-page residency
-        probe.  Callers treat the returned run as read-only.  The pfn
+        The memoized object is an :class:`repro.metrics.AccessRun`, so
+        the organizer's handle array for it is computed once too.
+        Callers treat the returned run as read-only.  The pfn
         sequence is part of the key, so a caller replaying a different
         sequence under a reused (stream, index) can never be served a
         stale run (hashing the tuple is microseconds against the build

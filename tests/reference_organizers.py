@@ -1,4 +1,5 @@
-"""Per-page reference organizers: the differential tests' oracle.
+"""Per-page reference organizers and replay: the differential tests'
+oracle.
 
 Plain ``OrderedDict`` LRU lists and the two organizers written the
 obvious way — one dict operation per page access, a whole-list scan at
@@ -6,6 +7,11 @@ obvious way — one dict operation per page access, a whole-list scan at
 organizers (handle table, index-linked lists, vectorized run kernels,
 touched-page journal) must leave the same list orders and the same
 ``list_operations`` counts after every operation sequence.
+
+:func:`reference_access_batch` is batch replay written the same way:
+one ``scheme.access()`` per page.  ``SwapScheme.access_batch`` (resident
+runs probed and touched in bulk, faults one page at a time) must leave
+the simulator state it leaves.
 """
 
 from __future__ import annotations
@@ -15,6 +21,19 @@ from typing import Iterator
 
 from repro.errors import PageStateError
 from repro.mem.page import Hotness, Page
+from repro.metrics import APP, AccessBatchSummary
+
+
+def reference_access_batch(scheme, pages, thread: str = APP):
+    """Replay ``pages`` one :meth:`SwapScheme.access` at a time.
+
+    Bind it over a scheme's own replay to make the scheme the oracle:
+    ``scheme.access_batch = MethodType(reference_access_batch, scheme)``.
+    """
+    summary = AccessBatchSummary()
+    for page in pages:
+        summary.add_result(scheme.access(page, thread))
+    return summary
 
 
 class LruList:
@@ -82,7 +101,7 @@ class ReferenceActiveInactiveOrganizer:
         for page in pages:
             self.add_page(page)
 
-    def on_access(self, page: Page, now_ns: int) -> None:
+    def on_access(self, page: Page) -> None:
         if page in self.inactive:
             self.inactive.remove(page)
             self.active.add(page)
@@ -95,9 +114,9 @@ class ReferenceActiveInactiveOrganizer:
                 f"page {page.pfn} accessed but not resident in app {self.uid}"
             )
 
-    def on_access_run(self, pages: list[Page], now_ns: int) -> None:
+    def on_access_run(self, pages: list[Page]) -> None:
         for page in pages:
-            self.on_access(page, now_ns)
+            self.on_access(page)
 
     def remove_page(self, page: Page) -> None:
         if not (self.inactive.discard(page) or self.active.discard(page)):
@@ -174,7 +193,7 @@ class ReferenceHotWarmColdOrganizer:
         self.level_list(hotness).add(page)
         self.list_operations += 1
 
-    def on_access(self, page: Page, now_ns: int) -> None:
+    def on_access(self, page: Page) -> None:
         if page in self.hot:
             self.hot.touch(page)
             self.list_operations += 1
@@ -192,9 +211,9 @@ class ReferenceHotWarmColdOrganizer:
         if self._relaunch_active:
             self._relaunch_accessed.add(page.pfn)
 
-    def on_access_run(self, pages: list[Page], now_ns: int) -> None:
+    def on_access_run(self, pages: list[Page]) -> None:
         for page in pages:
-            self.on_access(page, now_ns)
+            self.on_access(page)
 
     def remove_page(self, page: Page) -> None:
         for lru in (self.hot, self.warm, self.cold):

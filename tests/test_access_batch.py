@@ -1,11 +1,12 @@
 """Differential tests for the batched access path.
 
 The contract of ``SwapScheme.access_batch`` (and every bulk op beneath
-it) is *state equivalence*: the fast run-splitting overrides must leave
-exactly the simulator state — list orders, CPU ledger, counters, clock,
-relaunch results — the correct-by-construction per-page default leaves.
-These tests drive full miniature workloads through both paths and
-compare everything observable.
+it) is *state equivalence*: coalescing resident runs must leave exactly
+the simulator state — list orders, CPU ledger, counters, clock,
+relaunch results — the per-page replay oracle
+(``tests/reference_organizers.reference_access_batch``) leaves.  These
+tests drive full miniature workloads through both paths and compare
+everything observable.
 """
 
 from __future__ import annotations
@@ -15,26 +16,13 @@ from types import MethodType
 
 import pytest
 
-from repro.core import AriadneConfig, PlatformConfig, RelaunchScenario
-from repro.core.scheme import SwapScheme
+from repro.core import AriadneConfig, RelaunchScenario
 from repro.mem import ActiveInactiveOrganizer, HotWarmColdOrganizer, Page
-from repro.metrics import KSWAPD
-from repro.sim import make_system
 
 from tests.conftest import build_tiny
+from tests.reference_organizers import reference_access_batch
 
-SCHEMES = ["ZRAM", "SWAP", "Ariadne", "DRAM"]
-
-
-def build_roomy(scheme_name, trace, config=None):
-    """System with no memory pressure: nothing is ever evicted unless
-    forced, which makes epoch transitions deterministic to assert on."""
-    total = sum(app.total_bytes() for app in trace.apps)
-    platform = PlatformConfig(
-        dram_bytes=4 * total, zpool_bytes=2 * total, swap_bytes=4 * total
-    )
-    return make_system(scheme_name, trace, platform=platform,
-                       ariadne_config=config)
+SCHEMES = ["ZRAM", "SWAP", "ZSWAP", "Ariadne", "DRAM"]
 
 
 def _lru_order(lru) -> list[int]:
@@ -86,18 +74,18 @@ def _system_fingerprint(system) -> dict:
     }
 
 
-def _run_workload(scheme_name, tiny_trace, force_default: bool):
+def _run_workload(scheme_name, tiny_trace, oracle: bool):
     config = (
         AriadneConfig(scenario=RelaunchScenario.EHL)
         if scheme_name == "Ariadne"
         else None
     )
     system = build_tiny(scheme_name, tiny_trace, config)
-    if force_default:
-        # Rebind the abstract per-page replay over the scheme's fast
-        # override: the reference behavior every override must match.
+    if oracle:
+        # Rebind the per-page replay oracle over the scheme's own
+        # replay: the reference behavior it must match.
         system.scheme.access_batch = MethodType(
-            SwapScheme.access_batch, system.scheme
+            reference_access_batch, system.scheme
         )
     system.launch_all()
     names = [app.name for app in system.apps]
@@ -111,12 +99,12 @@ class TestBatchedReplayEquivalence:
     def test_fast_path_matches_per_page_reference(
         self, scheme_name, tiny_trace
     ):
-        fast = _run_workload(scheme_name, tiny_trace, force_default=False)
-        reference = _run_workload(scheme_name, tiny_trace, force_default=True)
+        fast = _run_workload(scheme_name, tiny_trace, oracle=False)
+        reference = _run_workload(scheme_name, tiny_trace, oracle=True)
         assert fast == reference
 
 
-def _run_script(scheme_name, tiny_trace, force_default, driver):
+def _run_script(scheme_name, tiny_trace, oracle, driver):
     """Drive ``driver(system)`` on fast vs reference replay paths."""
     config = (
         AriadneConfig(scenario=RelaunchScenario.AL)
@@ -124,22 +112,23 @@ def _run_script(scheme_name, tiny_trace, force_default, driver):
         else None
     )
     system = build_tiny(scheme_name, tiny_trace, config)
-    if force_default:
+    if oracle:
         system.scheme.access_batch = MethodType(
-            SwapScheme.access_batch, system.scheme
+            reference_access_batch, system.scheme
         )
     driver(system)
     return _system_fingerprint(system)
 
 
-class TestEpochInvalidationEquivalence:
-    """Adversarial epoch-invalidation sequences, fast vs reference.
+class TestAdversarialReplayEquivalence:
+    """Adversarial residency sequences, fast vs reference.
 
-    Each driver engineers one way the probe-free verification can go
-    stale — repeated replays of the same memoized run, relaunch purge,
-    writeback between replays, chunk-sibling materialization, eviction
-    mid-batch under pressure — and the fingerprints must still match
-    the per-page reference on every observable.
+    Each driver engineers one way residency can change between or
+    within replays of the same memoized run — repeated replays with
+    background reclaim in between, relaunch purge, writeback between
+    replays, chunk-sibling materialization, eviction mid-batch under
+    pressure — and the fingerprints must still match the per-page
+    reference on every observable.
     """
 
     def _compare(self, scheme_name, tiny_trace, driver):
@@ -149,9 +138,9 @@ class TestEpochInvalidationEquivalence:
 
     @pytest.mark.parametrize("scheme_name", SCHEMES)
     def test_repeated_same_session_replays(self, scheme_name, tiny_trace):
-        # The same memoized AccessRun objects replay back to back; runs
-        # verified by one replay serve the next probe-free, with the
-        # relaunch-tail background reclaim evicting in between.
+        # The same memoized AccessRun objects replay back to back,
+        # with the relaunch-tail background reclaim evicting in
+        # between.
         def driver(system):
             system.launch_all()
             for app in system.apps:
@@ -163,8 +152,8 @@ class TestEpochInvalidationEquivalence:
     @pytest.mark.parametrize("scheme_name", ["ZRAM", "Ariadne"])
     def test_relaunch_purge_between_replays(self, scheme_name, tiny_trace):
         # prepare_relaunch force-compresses the target between two
-        # replays of the same run: every verification must die and the
-        # faulting path must re-probe from scratch.
+        # replays of the same run: the second replay must fault it
+        # back page by page.
         def driver(system):
             system.launch_all()
             name = system.apps[0].name
@@ -192,7 +181,7 @@ class TestEpochInvalidationEquivalence:
     def test_chunk_sibling_materialization(self, tiny_trace):
         # One access to a page of a multi-page cold chunk materializes
         # its siblings; the following batch replay must see them as
-        # resident hits (and the run verification must stay exact).
+        # resident hits.
         def driver(system):
             system.launch_all()
             name = system.apps[0].name
@@ -204,106 +193,6 @@ class TestEpochInvalidationEquivalence:
             system.relaunch(name, 0)
 
         self._compare("Ariadne", tiny_trace, driver)
-
-
-class TestEpochFastPathWhiteBox:
-    """Direct assertions on the epoch layer's probe/skip behavior."""
-
-    def _first_run(self, system):
-        live = system.apps[0]
-        return live, live.access_run(
-            "relaunch", 0, live.trace.sessions[0].relaunch_pfns
-        )
-
-    def test_fully_resident_app_replays_without_probes(self, tiny_trace):
-        system = build_roomy("ZRAM", tiny_trace)
-        system.launch_all()
-        scheme = system.scheme
-        _live, run = self._first_run(system)
-        probes = scheme.residency_probes
-        skips = scheme.epoch_skips
-        summary = scheme.access_batch(run)
-        assert summary.pages == len(run) == summary.from_dram
-        assert scheme.residency_probes == probes
-        assert scheme.epoch_skips == skips + 1
-        # Nothing was ever evicted: the epoch never moved.
-        assert scheme.eviction_epoch == 0
-
-    def test_eviction_invalidates_then_run_reverifies(self, tiny_trace):
-        system = build_roomy("ZRAM", tiny_trace)
-        system.launch_all()
-        scheme = system.scheme
-        live, run = self._first_run(system)
-        scheme.force_compress_app(live.uid)
-        assert scheme.eviction_epoch > 0
-        probes = scheme.residency_probes
-        summary = scheme.access_batch(run)
-        assert summary.from_zpool > 0  # faults: verification was stale
-        assert scheme.residency_probes > probes
-        # No same-app eviction happened mid-batch (roomy platform), so
-        # the run re-verified at the end: the repeat replay is
-        # probe-free even though other pages of the app remain stored.
-        assert scheme._nonresident_pages[live.uid] > 0
-        probes = scheme.residency_probes
-        repeat = scheme.access_batch(run)
-        assert repeat.pages == repeat.from_dram == len(run)
-        assert scheme.residency_probes == probes
-
-    def test_run_verification_survives_other_apps_evictions(
-        self, tiny_trace
-    ):
-        system = build_roomy("ZRAM", tiny_trace)
-        system.launch_all()
-        scheme = system.scheme
-        live, run = self._first_run(system)
-        scheme.force_compress_app(live.uid)
-        scheme.access_batch(run)  # faults back; run re-verified
-        other = system.apps[1]
-        scheme.force_compress_app(other.uid)
-        probes = scheme.residency_probes
-        summary = scheme.access_batch(run)
-        assert summary.from_dram == summary.pages
-        assert scheme.residency_probes == probes, (
-            "another app's evictions must not invalidate this app's run"
-        )
-
-    def test_same_app_eviction_invalidates_run(self, tiny_trace):
-        system = build_roomy("ZRAM", tiny_trace)
-        system.launch_all()
-        scheme = system.scheme
-        live, run = self._first_run(system)
-        scheme.force_compress_app(live.uid)
-        scheme.access_batch(run)  # run re-verified
-        scheme.force_compress_app(live.uid)  # evicts the run's pages
-        probes = scheme.residency_probes
-        summary = scheme.access_batch(run)
-        assert summary.from_zpool > 0
-        assert scheme.residency_probes > probes
-
-    def test_purge_bumps_owner_epoch(self, tiny_trace):
-        system = build_roomy("ZRAM", tiny_trace)
-        system.launch_all()
-        scheme = system.scheme
-        live = system.apps[0]
-        scheme.force_compress_app(live.uid)
-        epoch = scheme.eviction_epoch
-        stamp = scheme._app_eviction_epoch[live.uid]
-        assert scheme._drop_oldest_chunk()
-        assert scheme.eviction_epoch == epoch + 1
-        assert scheme._app_eviction_epoch[live.uid] > stamp
-
-    def test_writeback_bumps_owner_epoch(self, tiny_trace):
-        system = build_roomy(
-            "Ariadne", tiny_trace, AriadneConfig(scenario=RelaunchScenario.AL)
-        )
-        system.launch_all()
-        scheme = system.scheme
-        live = system.apps[0]
-        scheme.force_compress_app(live.uid)
-        epoch = scheme.eviction_epoch
-        assert scheme._writeback_one(KSWAPD, allow_warm=True)
-        assert scheme.eviction_epoch == epoch + 1
-        assert scheme._app_eviction_epoch[live.uid] == scheme.eviction_epoch
 
 
 class TestBulkOrganizerOps:
@@ -326,7 +215,7 @@ class TestBulkOrganizerOps:
                 org.add_page(page)
             # Promote a few so the run crosses list boundaries.
             for page in pages[3:7]:
-                org.on_access(page, now_ns=5)
+                org.on_access(page)
             if relaunch and organizer_cls == "hwc":
                 org.begin_relaunch()
             return org, pages
@@ -335,9 +224,9 @@ class TestBulkOrganizerOps:
         loop_org, loop_pages = make()
         sequence = self._random_mixed_sequence(range(12), seed=7)
 
-        bulk_org.on_access_run([bulk_pages[i] for i in sequence], now_ns=9)
+        bulk_org.on_access_run([bulk_pages[i] for i in sequence])
         for i in sequence:
-            loop_org.on_access(loop_pages[i], now_ns=9)
+            loop_org.on_access(loop_pages[i])
 
         assert _organizer_fingerprint(bulk_org) == _organizer_fingerprint(
             loop_org

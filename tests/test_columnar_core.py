@@ -6,7 +6,7 @@ relaunch hotness update by a touched-page journal.  They promise the
 numbers of the plain per-page organizers in
 ``tests/reference_organizers.py``: same final list orders, same
 ``list_operations``, and — inside a scheme — the same CPU ledger,
-counters, clock and epochs.  This file pins that promise three ways:
+counters and clock.  This file pins that promise three ways:
 
 - organizer-level randomized differentials (every list operation, with
   within-run duplicate pfns and relaunch bracketing — including the
@@ -31,9 +31,9 @@ import pytest
 from reference_organizers import (
     ReferenceActiveInactiveOrganizer,
     ReferenceHotWarmColdOrganizer,
+    reference_access_batch,
 )
 from tiny_workload import build_tiny
-from repro.core.scheme import SwapScheme
 from repro.errors import InvariantViolationError, PageStateError
 from repro.faults import FaultPlan, install_fault_plan
 from repro.lmk import PressureConfig, PressurePlan, install_pressure
@@ -63,14 +63,14 @@ class TestIndexLruList:
             lru.add(page)
         assert len(lru) == 5
         assert [p.pfn for p in lru] == [p.pfn for p in pages]
-        assert lru.peek_lru() is pages[0]
-        assert lru.peek_mru() is pages[-1]
         lru.touch(pages[0])
         assert [p.pfn for p in lru] == [p.pfn for p in pages[1:] + pages[:1]]
         assert lru.pop_lru() is pages[1]
-        assert lru.discard(pages[2]) and not lru.discard(pages[2])
+        lru.remove(pages[2])
+        with pytest.raises(PageStateError, match="not on list"):
+            lru.remove(pages[2])
         assert pages[3] in lru and pages[2] not in lru
-        assert lru.total_bytes == len(lru) * pages[0].size
+        assert len(lru) == 3
 
     def test_add_duplicate_raises(self):
         org, lru = tri_views()
@@ -78,8 +78,6 @@ class TestIndexLruList:
         lru.add(page)
         with pytest.raises(PageStateError, match="already on list"):
             lru.add(page)
-        with pytest.raises(PageStateError, match="already on list"):
-            lru.add_lru(page)
 
     def test_add_while_on_sibling_list_raises(self):
         org, _ = tri_views()
@@ -94,23 +92,15 @@ class TestIndexLruList:
         with pytest.raises(PageStateError, match="duplicate"):
             lru.add_run([page, page])
 
-    def test_empty_pops_and_peeks_raise(self):
+    def test_empty_pop_raises(self):
         org, lru = tri_views()
-        for op in (lru.pop_lru, lru.peek_lru, lru.peek_mru):
-            with pytest.raises(PageStateError, match="empty"):
-                op()
+        with pytest.raises(PageStateError, match="empty"):
+            lru.pop_lru()
 
     def test_touch_absent_raises(self):
         org, lru = tri_views()
         with pytest.raises(PageStateError, match="not on list"):
             lru.touch(make_pages(1)[0])
-
-    def test_add_lru_inserts_at_eviction_end(self):
-        org, lru = tri_views()
-        first, second = make_pages(2)
-        lru.add(first)
-        lru.add_lru(second)
-        assert lru.pop_lru() is second
 
     def test_survives_compaction_churn(self):
         # Touch-churn far past the initial array capacity: liveness
@@ -173,12 +163,12 @@ def drive_pair(reference, under_test, seed: int, steps: int = 400):
             # short and long enough for both the per-page and the
             # vectorized kernel.
             run = [rng.choice(added) for _ in range(rng.randrange(1, 30))]
-            reference.on_access_run(list(run), now_ns=step)
-            under_test.on_access_run(list(run), now_ns=step)
+            reference.on_access_run(list(run))
+            under_test.on_access_run(list(run))
         elif op < 0.78 and added:
             page = rng.choice(added)
-            reference.on_access(page, now_ns=step)
-            under_test.on_access(page, now_ns=step)
+            reference.on_access(page)
+            under_test.on_access(page)
         elif op < 0.86 and added:
             ref_victim = reference.pop_victim()
             got_victim = under_test.pop_victim()
@@ -245,8 +235,8 @@ class TestOrganizerDifferential:
                 org.begin_relaunch()
             for _ in range(rng.randrange(1, 5)):
                 run = [rng.choice(pages) for _ in range(rng.randrange(1, 10))]
-                reference.on_access_run(list(run), now_ns=1)
-                under_test.on_access_run(list(run), now_ns=1)
+                reference.on_access_run(list(run))
+                under_test.on_access_run(list(run))
             for org in (reference, under_test):
                 org.end_relaunch()
             for name in ("hot", "warm", "cold"):
@@ -266,7 +256,7 @@ class TestOrganizerDifferential:
         for org in (reference, under_test):
             org.add_page(page)
             base = org.list_operations
-            org.on_access_run([page, page], now_ns=5)
+            org.on_access_run([page, page])
             assert org.list_operations - base == 3
         assert [p.pfn for p in reference.warm] == [
             p.pfn for p in under_test.warm
@@ -277,9 +267,9 @@ class TestOrganizerDifferential:
         resident, absent = make_pages(2)
         org.add_page(resident)
         with pytest.raises(PageStateError, match="not resident"):
-            org.on_access(absent, now_ns=1)
+            org.on_access(absent)
         with pytest.raises(PageStateError, match="not resident"):
-            org.on_access_run([resident, absent], now_ns=1)
+            org.on_access_run([resident, absent])
 
 
 # --------------------------------------------------------------------------
@@ -301,15 +291,11 @@ def _organizer_fingerprint(organizer) -> dict:
 
 
 def _system_fingerprint(system) -> dict:
-    # epoch_skips / residency_probes count the fast replay path's own
-    # probes, which the per-page reference never makes; the white-box
-    # tests in test_access_batch.py pin them.
     scheme = system.scheme
     return {
         "clock": system.ctx.clock.now_ns,
         "cpu": dict(system.ctx.cpu._by_pair),
         "counters": system.ctx.counters.as_dict(),
-        "epoch": scheme.eviction_epoch,
         "organizers": {
             uid: _organizer_fingerprint(org)
             for uid, org in scheme._organizers.items()
@@ -327,7 +313,7 @@ def _use_oracle(scheme) -> None:
         return ReferenceActiveInactiveOrganizer(uid)
 
     scheme._make_organizer = make_reference
-    scheme.access_batch = MethodType(SwapScheme.access_batch, scheme)
+    scheme.access_batch = MethodType(reference_access_batch, scheme)
 
 
 def _drive_scenario(oracle: bool, scheme_name: str, trace, seed: int) -> dict:

@@ -16,7 +16,9 @@ revision (commit 017f06b).  The heavy-scenario fingerprint was captured
 from the same numbers at the fast-path PR revision (verified bit-equal
 to the seed) and locks the batched replay path well beyond what the
 figure outputs exercise: wall clock, every relaunch latency, per-thread
-and per-activity CPU, every counter, and flash traffic.
+and per-activity CPU, every counter, and flash traffic.  The light
+scenario echoes pin a whole 60 s Ariadne run over the five-app
+workload.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import pytest
 
 from repro.experiments import experiment
 from repro.experiments.common import scenario_build, workload_trace
-from repro.sim.scenario import run_heavy_scenario
+from repro.sim.scenario import run_heavy_scenario, run_light_scenario
 
 #: Seed fig2 (quick): relaunch latency in ms per scheme per app.
 GOLDEN_FIG2_LATENCY_MS = {
@@ -96,6 +98,16 @@ GOLDEN_HEAVY_FINGERPRINT = {
     },
     "flash_bytes_read": 2429888,
     "flash_bytes_written": 15320320,
+}
+
+
+#: The 60 s Ariadne light scenario on the 5-app workload: simulated
+#: wall, relaunch count, compression count and kswapd CPU, exact.
+GOLDEN_LIGHT_ECHOES = {
+    "simulated_wall_ns": 60789924846,
+    "relaunches": 56,
+    "compress_ops": 525,
+    "kswapd_cpu_ns": 4613256710,
 }
 
 
@@ -254,3 +266,15 @@ class TestHeavyScenarioFingerprint:
             heavy_scenario_result.flash_bytes_written
             == GOLDEN_HEAVY_FINGERPRINT["flash_bytes_written"]
         )
+
+
+class TestLightScenarioEchoes:
+    def test_60s_ariadne_light_scenario(self):
+        system = scenario_build("Ariadne", workload_trace(n_apps=5))
+        result = run_light_scenario(system, duration_s=60.0)
+        assert {
+            "simulated_wall_ns": result.wall_ns,
+            "relaunches": len(result.relaunches),
+            "compress_ops": result.counters.get("compress_ops", 0),
+            "kswapd_cpu_ns": result.kswapd_cpu_ns,
+        } == GOLDEN_LIGHT_ECHOES

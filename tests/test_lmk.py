@@ -6,8 +6,8 @@ Four properties the suite pins:
   cross) changes not a single measured number, and the config layer
   rejects malformed knobs up front;
 - the killer is deterministic: same seed, same trace, same kills —
-  and a kill tears the victim's state down through the same epoch
-  machinery as ordinary eviction, so the runtime auditor stays green
+  and a kill tears the victim's state down through the same DRAM and
+  list bookkeeping as ordinary eviction, so the runtime auditor stays green
   and the next relaunch pays the counted process re-creation cost;
 - hard exhaustion degrades, never crashes: an overfull zpool becomes
   an emergency kill, a counted chunk drop, or a counted admission

@@ -35,15 +35,7 @@ def test_touch_moves_to_mru():
         lru.add(page)
     lru.touch(pages[0])
     assert lru.pop_lru() is pages[1]
-    assert lru.peek_mru() is pages[0]
-
-
-def test_add_lru_inserts_at_evict_end():
-    lru = make_list()
-    lru.add(make_page(1))
-    oldest = make_page(2)
-    lru.add_lru(oldest)
-    assert lru.pop_lru() is oldest
+    assert list(lru)[-1] is pages[0]
 
 
 def test_duplicate_add_rejected():
@@ -54,31 +46,22 @@ def test_duplicate_add_rejected():
         lru.add(page)
 
 
-def test_remove_missing_rejected_discard_tolerates():
+def test_remove_missing_rejected():
     lru = make_list()
     page = make_page(1)
     with pytest.raises(PageStateError):
         lru.remove(page)
-    assert lru.discard(page) is False
     lru.add(page)
-    assert lru.discard(page) is True
+    lru.remove(page)
+    assert page not in lru
+    with pytest.raises(PageStateError):
+        lru.remove(page)
 
 
 def test_empty_list_operations_raise():
     lru = make_list()
     with pytest.raises(PageStateError):
         lru.pop_lru()
-    with pytest.raises(PageStateError):
-        lru.peek_lru()
-    with pytest.raises(PageStateError):
-        lru.peek_mru()
-
-
-def test_total_bytes_counts_pages():
-    lru = make_list()
-    lru.add(make_page(1))
-    lru.add(make_page(2))
-    assert lru.total_bytes == 2 * 4096
 
 
 def test_iteration_is_lru_to_mru():
@@ -116,30 +99,7 @@ def test_matches_reference_model(ops):
 
 
 class TestBulkOps:
-    """touch_run / add_run equal their per-page loops."""
-
-    def test_touch_run_matches_touch_loop(self):
-        bulk, loop = make_list(), make_list()
-        for i in range(6):
-            bulk.add(make_page(i))
-            loop.add(make_page(i))
-        sequence = [2, 4, 2, 0, 5, 2]
-        bulk.touch_run(sequence)
-        for pfn in sequence:
-            loop.touch(make_page(pfn))
-        assert [p.pfn for p in bulk] == [p.pfn for p in loop]
-
-    def test_touch_run_returns_count(self):
-        lru = make_list()
-        for i in range(3):
-            lru.add(make_page(i))
-        assert lru.touch_run([0, 1, 0]) == 3
-
-    def test_touch_run_absent_pfn_raises(self):
-        lru = make_list()
-        lru.add(make_page(1))
-        with pytest.raises(PageStateError):
-            lru.touch_run([1, 99])
+    """add_run equals its per-page loop."""
 
     def test_add_run_matches_add_loop(self):
         bulk, loop = make_list(), make_list()

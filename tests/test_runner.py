@@ -317,6 +317,27 @@ class TestResultCacheIntegration:
         assert warm.ok and warm.cached_tasks == 3
         assert warm.rendered == first.render()
 
+    def test_audited_run_is_never_served_from_cache(
+        self, fake_sharded, persistent_caches, monkeypatch
+    ):
+        # A run under the invariant auditor must measure: results an
+        # unaudited run cached were never checked, so serving them
+        # would audit nothing.  Both entry points bypass the cache.
+        (cold,) = run_experiments(["fake"], jobs=2)
+        assert cold.ok and cold.cached_tasks == 0
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        for jobs in (2, 1):
+            (audited,) = run_experiments(["fake"], jobs=jobs)
+            assert audited.ok and audited.cached_tasks == 0
+            assert audited.rendered == cold.rendered
+
+        def explode(self, key, quick=False):
+            raise AssertionError("cell re-simulated")
+
+        monkeypatch.setattr(_FakeSharded, "run_cell", explode)
+        with pytest.raises(AssertionError, match="re-simulated"):
+            registry.run_cached("fake")
+
     def test_disabled_cache_never_reports_cached_tasks(self, fake_sharded):
         # conftest keeps REPRO_CACHE_DIR=off for hermetic tests.
         for _ in range(2):

@@ -4,8 +4,8 @@ Every registered scheme — the baselines, Ariadne, and the ZSWAP
 writeback tier — must honor the same behavioral contracts regardless of
 its internal machinery:
 
-- *batch equivalence*: the fast ``access_batch`` override leaves exactly
-  the state the per-page reference path leaves, on a platform tight
+- *batch equivalence*: ``access_batch`` leaves exactly the state the
+  per-page replay oracle leaves, on a platform tight
   enough that every migration tier (zpool overflow, flash writeback,
   readahead staging) actually engages;
 - *fault degradation*: under an injected fault plan the scenario still
@@ -24,12 +24,12 @@ from types import MethodType
 import pytest
 
 from repro.core import AriadneConfig, PressureConfig, RelaunchScenario
-from repro.core.scheme import SwapScheme
 from repro.faults import FaultPlan, install_fault_plan
 from repro.lmk import PressurePlan, install_pressure
 from repro.sim import run_light_scenario
 
 from tests.conftest import build_tiny
+from tests.reference_organizers import reference_access_batch
 from tests.test_access_batch import _system_fingerprint
 
 SCHEMES = ["DRAM", "ZRAM", "SWAP", "ZSWAP", "Ariadne"]
@@ -77,11 +77,11 @@ class TestBatchEquivalence:
     def test_fast_path_matches_per_page_reference(
         self, scheme_name, tiny_trace
     ):
-        def run(force_default):
+        def run(oracle):
             system = _build(scheme_name, tiny_trace)
-            if force_default:
+            if oracle:
                 system.scheme.access_batch = MethodType(
-                    SwapScheme.access_batch, system.scheme
+                    reference_access_batch, system.scheme
                 )
             _drive(system)
             return _system_fingerprint(system)
